@@ -67,7 +67,6 @@ from .askey_wilson import (
     params_from_sigmas,
     solve_operator_equation,
     three_term_data,
-    verify_operator_equation,
 )
 from .proof_engine import (
     CHAIN_EQUATIONS,

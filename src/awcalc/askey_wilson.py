@@ -44,7 +44,7 @@ from .errors import (
     OrthogonalityBroken,
     UsageError,
 )
-from .qoperators import OperatorCheckResult, apply_Dq, apply_Sq
+from .qoperators import apply_Dq, apply_Sq
 from .qpoly import PolyX
 from .scalars import QContext, Rational, format_rational, make_qcontext, parse_rational
 
@@ -57,14 +57,13 @@ def _rat(value) -> Rational:
 
 @dataclass(frozen=True)
 class AWParams:
-    """Parameter vector. Either built directly from the symmetric functions
-    or from four roots; `roots` is kept when known, purely informational."""
+    """Parameter vector: the elementary symmetric functions of the four
+    roots, however they were given."""
 
     sigma1: Rational
     sigma2: Rational
     sigma3: Rational
     sigma4: Rational
-    roots: tuple[Rational, Rational, Rational, Rational] | None = None
 
     @property
     def sigmas(self) -> tuple[Rational, Rational, Rational, Rational]:
@@ -81,7 +80,7 @@ def params_from_roots(a, b, c, d) -> AWParams:
     s2 = a * b + a * c + a * d + b * c + b * d + c * d
     s3 = a * b * c + a * b * d + a * c * d + b * c * d
     s4 = a * b * c * d
-    return AWParams(s1, s2, s3, s4, roots=(a, b, c, d))
+    return AWParams(s1, s2, s3, s4)
 
 
 def make_params(roots=None, sigmas=None) -> AWParams:
@@ -96,14 +95,13 @@ def make_params(roots=None, sigmas=None) -> AWParams:
     return params_from_sigmas(*values)
 
 
-def equation_coeffs(ctx: QContext, params: AWParams) -> tuple[PolyX, PolyX, PolyX]:
-    """(f, g, h) of the operator equation; h is identically zero and is
-    returned only so callers can treat the triple uniformly."""
+def equation_coeffs(ctx: QContext, params: AWParams) -> tuple[PolyX, PolyX]:
+    """(f, g) of the operator equation f D^2 y + g SD y = lambda_n y."""
     s1, s2, s3, s4 = params.sigmas
     qinv_sqrt = 1 / ctx.v
     f = -qinv_sqrt * PolyX((s2 - s4 - 1, -(s1 + s3), 2 * (1 + s4)))
     g = (2 / (1 - ctx.q)) * PolyX((s1 - s3, 2 * (s4 - 1)))
-    return f, g, PolyX.zero()
+    return f, g
 
 
 def eigenvalue(ctx: QContext, params: AWParams, n: int) -> Rational:
@@ -145,7 +143,7 @@ def solve_operator_equation(ctx: QContext, params: AWParams, n: int) -> PolyX:
     """
     if n < 0:
         raise UsageError(f"degree must be >= 0, got {n}")
-    f, g, _ = equation_coeffs(ctx, params)
+    f, g = equation_coeffs(ctx, params)
     images = [_apply_L(ctx, f, g, PolyX.monomial(m)) for m in range(n + 1)]
     lam = eigenvalue(ctx, params, n)
     coeffs = [Fraction(0)] * n + [Fraction(1)]
@@ -194,13 +192,34 @@ def three_term_data(polys: tuple[PolyX, ...]) -> tuple[tuple, tuple]:
     return tuple(bs), tuple(cs)
 
 
-@dataclass(frozen=True)
-class AWFamily:
-    """Monic solutions p_0..p_N with their recurrence data.
+class Ladder:
+    """Index-checked access to monic polys p_0..p_M and their recurrence
+    data: B holds B_0..B_(M-1), C holds C_1..C_(M-1) stored shifted. Use
+    the accessors, they do the index bookkeeping."""
 
-    B has length N (indices 0..N-1) and C length N-1 (indices 1..N-1,
-    stored shifted); use the accessors, they do the index bookkeeping.
-    """
+    polys: tuple[PolyX, ...]
+    B: tuple[Rational, ...]
+    C: tuple[Rational, ...]
+
+    def poly(self, n: int) -> PolyX:
+        if not 0 <= n < len(self.polys):
+            raise IndexError(f"index {n} outside 0..{len(self.polys) - 1}")
+        return self.polys[n]
+
+    def recurrence_B(self, n: int) -> Rational:
+        if not 0 <= n < len(self.B):
+            raise IndexError(f"B_{n} not available (have 0..{len(self.B) - 1})")
+        return self.B[n]
+
+    def recurrence_C(self, n: int) -> Rational:
+        if not 1 <= n <= len(self.C):
+            raise IndexError(f"C_{n} not available (have 1..{len(self.C)})")
+        return self.C[n - 1]
+
+
+@dataclass(frozen=True)
+class AWFamily(Ladder):
+    """Monic solutions p_0..p_N with their recurrence data."""
 
     ctx: QContext
     params: AWParams
@@ -208,21 +227,6 @@ class AWFamily:
     polys: tuple[PolyX, ...]
     B: tuple[Rational, ...]
     C: tuple[Rational, ...]
-
-    def poly(self, n: int) -> PolyX:
-        if not 0 <= n <= self.N:
-            raise IndexError(f"polynomial index {n} outside 0..{self.N}")
-        return self.polys[n]
-
-    def recurrence_B(self, n: int) -> Rational:
-        if not 0 <= n < self.N:
-            raise IndexError(f"B_{n} not available (have 0..{self.N - 1})")
-        return self.B[n]
-
-    def recurrence_C(self, n: int) -> Rational:
-        if not 1 <= n < self.N:
-            raise IndexError(f"C_{n} not available (have 1..{self.N - 1})")
-        return self.C[n - 1]
 
 
 def build_family(ctx: QContext, params: AWParams, N: int) -> AWFamily:
@@ -252,16 +256,6 @@ def expand_in_basis(p: PolyX, family: AWFamily) -> tuple[Rational, ...]:
     return tuple(out)
 
 
-def verify_operator_equation(family: AWFamily, n: int) -> OperatorCheckResult:
-    """Recheck L[p_n] = lambda_n p_n for a stored polynomial."""
-    f, g, _ = equation_coeffs(family.ctx, family.params)
-    lam = eigenvalue(family.ctx, family.params, n)
-    residual = _apply_L(family.ctx, f, g, family.poly(n)) - lam * family.poly(n)
-    return OperatorCheckResult(
-        name="operator_equation", passed=not residual, residual=residual
-    )
-
-
 def family_to_dict(family: AWFamily) -> dict:
     return {
         "v": format_rational(family.ctx.v),
@@ -288,7 +282,7 @@ def family_from_dict(data: dict) -> AWFamily:
         raise UsageError("sigmas must be a list of 4 rational strings")
     params = params_from_sigmas(*(parse_rational(s) for s in sigmas))
     N = data["N"]
-    if not isinstance(N, int) or N < 0:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise UsageError(f"N must be an int >= 0, got {N!r}")
     polys_raw = data["polys"]
     if not isinstance(polys_raw, list) or len(polys_raw) != N + 1:

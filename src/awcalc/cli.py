@@ -10,8 +10,8 @@ Three subcommands:
                       freshly built family or on a family file
 
 Exit codes: 0 when every check passed, 1 when at least one verification
-failed, 2 for malformed input or inadmissible parameters. All output is
-byte-deterministic for fixed arguments.
+failed, 2 for malformed input, inadmissible parameters or a run that would
+check nothing. All output is byte-deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -32,8 +33,10 @@ from .errors import AWCalcError, DomainError, UsageError
 from .proof_engine import (
     CheckRecord,
     ProofReport,
+    chain_orders,
     record_sort_key,
     report_to_dict,
+    residual_witness,
     run_chain_verification,
 )
 from .qoperators import IDENTITIES, verify_identity, verify_k_fold_rule
@@ -43,6 +46,10 @@ from .scalars import format_rational, make_qcontext, parse_rational
 # identity trials draw polynomials up to this degree
 MAX_TRIAL_DEGREE = 10
 KFOLD_MAX = 5
+# argparse reads "--sigmas -1/2,1,1,1" as two flags; _glue_negative_values
+# rewrites such a pair to "--sigmas=-1/2,1,1,1"
+_FLAG_RE = re.compile(r"--[a-z][a-z-]*")
+_NEGATIVE_RE = re.compile(r"-\d")
 
 
 def _nonneg_int(text: str) -> int:
@@ -67,6 +74,16 @@ def _parse_klist(text: str) -> list[int]:
     return ks
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and _FLAG_RE.fullmatch(out[-1]) and _NEGATIVE_RE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _params_from_args(args) -> object:
     if (args.params is None) == (args.sigmas is None):
         raise UsageError("give exactly one of --params or --sigmas")
@@ -75,19 +92,12 @@ def _params_from_args(args) -> object:
     return make_params(sigmas=_parse_four(args.sigmas))
 
 
-def _residual_witness(result) -> str:
-    return "0" if result.passed else f"deg={result.residual.degree}"
-
-
 def _run_identities(args) -> tuple[ProofReport, bool]:
+    if args.trials == 0:
+        raise UsageError("--trials 0 runs no checks; need at least 1")
     ctx = make_qcontext(parse_rational(args.qsqrt))
     rng = random.Random(args.seed)
     records: list[CheckRecord] = []
-    if args.trials == 0:
-        records.append(CheckRecord(
-            name="warning", k=None, n=None, passed=True,
-            witness="no trials requested",
-        ))
     for t in range(args.trials):
         f = random_poly(rng, MAX_TRIAL_DEGREE)
         g = random_poly(rng, MAX_TRIAL_DEGREE)
@@ -95,13 +105,13 @@ def _run_identities(args) -> tuple[ProofReport, bool]:
             res = verify_identity(ctx, which, f, g)
             records.append(CheckRecord(
                 name=which, k=None, n=t, passed=res.passed,
-                witness=_residual_witness(res),
+                witness=residual_witness(res),
             ))
         for k in range(1, KFOLD_MAX + 1):
             res = verify_k_fold_rule(ctx, f, k)
             records.append(CheckRecord(
                 name=res.name, k=k, n=t, passed=res.passed,
-                witness=_residual_witness(res),
+                witness=residual_witness(res),
             ))
     records.sort(key=record_sort_key)
     context = {
@@ -139,9 +149,9 @@ def _run_chain(args) -> tuple[ProofReport, bool]:
             raise UsageError("--qsqrt is required unless --family is given")
         ctx = make_qcontext(parse_rational(args.qsqrt))
         params = _params_from_args(args)
-        if not ks or any(k < 1 for k in ks):
-            raise UsageError(f"k list must contain ints >= 1, got {ks}")
-        base = build_family(ctx, params, args.nmax + max(ks) + 2)
+        N = args.nmax + max(ks) + 2
+        chain_orders(ks, N, args.nmax)
+        base = build_family(ctx, params, N)
     report = run_chain_verification(base, ks, args.nmax)
     return report, report.all_passed
 
@@ -221,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     runner = {

@@ -12,7 +12,7 @@ class AWCalcError(Exception):
 
 class DomainError(AWCalcError, ValueError):
     """A mathematical precondition is violated (v outside (0,1), zero
-    polynomial where a nonzero one is required, exponent cap exceeded)."""
+    polynomial where a nonzero one is required)."""
 
 
 class UsageError(AWCalcError, ValueError):

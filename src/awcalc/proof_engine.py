@@ -47,6 +47,7 @@ from typing import Iterable, Mapping
 from .askey_wilson import (
     AWFamily,
     AWParams,
+    Ladder,
     eigenvalue,
     equation_coeffs,
     expand_in_basis,
@@ -84,7 +85,7 @@ CHAIN_EQUATIONS = (
 
 
 @dataclass(frozen=True)
-class DerivedFamily:
+class DerivedFamily(Ladder):
     """P[k]_0..P[k]_M with the recurrence data extracted from the
     polynomials themselves (same layout as AWFamily)."""
 
@@ -97,21 +98,6 @@ class DerivedFamily:
     @property
     def M(self) -> int:
         return len(self.polys) - 1
-
-    def poly(self, n: int) -> PolyX:
-        if not 0 <= n <= self.M:
-            raise IndexError(f"derived index {n} outside 0..{self.M}")
-        return self.polys[n]
-
-    def recurrence_B(self, n: int) -> Rational:
-        if not 0 <= n < len(self.B):
-            raise IndexError(f"B[k]_{n} not available (have 0..{len(self.B) - 1})")
-        return self.B[n]
-
-    def recurrence_C(self, n: int) -> Rational:
-        if not 1 <= n <= len(self.C):
-            raise IndexError(f"C[k]_{n} not available (have 1..{len(self.C)})")
-        return self.C[n - 1]
 
 
 @lru_cache(maxsize=None)
@@ -564,7 +550,7 @@ def verify_final_matches_aw(
     u3 = (v * f1 - (1 - q) * g0 / 2) / 2
     u2 = c + u4 - v * f0
     params = params_from_sigmas(u1 / c, u2 / c, u3 / c, u4 / c)
-    faw, gaw, _ = equation_coeffs(ctx, params)
+    faw, gaw = equation_coeffs(ctx, params)
     if c * faw != f or c * gaw != g:
         raise NoRationalMatch("round trip through the coefficient form mismatched")
     prev = derived_family(base, dfam.k - 1)
@@ -594,6 +580,11 @@ def record_sort_key(rec: CheckRecord):
     )
 
 
+def residual_witness(res: OperatorCheckResult) -> str:
+    """Report witness of a residual check: "0", or the residual's degree."""
+    return "0" if res.passed else f"deg={res.residual.degree}"
+
+
 def report_to_dict(report: ProofReport) -> dict:
     return {
         "context": dict(report.context),
@@ -613,8 +604,7 @@ def _verify_one_k(base: AWFamily, k: int, n_max: int) -> list[CheckRecord]:
 
     def run_eq(which: str, n: int, extraction=None) -> OperatorCheckResult:
         res = verify_chain_equation(base, dfam, which, n, extraction=extraction)
-        witness = "0" if res.passed else f"deg={res.residual.degree}"
-        add(which, n, res.passed, witness)
+        add(which, n, res.passed, residual_witness(res))
         return res
 
     hi_ladder = min(base.N - k, n_max)
@@ -677,23 +667,34 @@ def _verify_one_k(base: AWFamily, k: int, n_max: int) -> list[CheckRecord]:
     return records
 
 
-def run_chain_verification(
-    base: AWFamily, k_list: Iterable[int], n_max: int
-) -> ProofReport:
-    """Run the whole chain for each k and collect a sorted report.
+def chain_orders(k_list: Iterable[int], N: int, n_max: int) -> list[int]:
+    """Validate a chain run on a base of size N; return its sorted orders.
 
-    Verification failures become failed records, never exceptions; bad
-    arguments still raise."""
-    if n_max < 0:
-        raise UsageError(f"n_max must be >= 0, got {n_max}")
+    eq_final is checked at 2 <= n <= min(n_max, N - k - 1), so a run with
+    n_max < 2 or N < k + 3 for some k would certify nothing for that k and
+    is rejected instead."""
     ks = sorted(set(k_list))
     if not ks:
         raise UsageError("need at least one derivation order k")
     for k in ks:
         if not isinstance(k, int) or k < 1:
             raise UsageError(f"derivation orders must be ints >= 1, got {k!r}")
-        if k > base.N:
-            raise UsageError(f"k={k} exceeds the family size N={base.N}")
+    if n_max < 2 or N < ks[-1] + 3:
+        raise UsageError(
+            f"n_max={n_max} and N={N} leave nothing to verify at k={ks[-1]}; "
+            f"need n_max >= 2 and N >= {ks[-1] + 3}"
+        )
+    return ks
+
+
+def run_chain_verification(
+    base: AWFamily, k_list: Iterable[int], n_max: int
+) -> ProofReport:
+    """Run the whole chain for each k and collect a sorted report.
+
+    Verification failures become failed records, never exceptions; bad
+    arguments, including runs that would verify nothing, still raise."""
+    ks = chain_orders(k_list, base.N, n_max)
     records: list[CheckRecord] = []
     for k in ks:
         records.extend(_verify_one_k(base, k, n_max))

@@ -4,8 +4,8 @@ All arithmetic in this package happens over Q. ``Rational`` is
 ``fractions.Fraction``: it already keeps lowest terms and a positive
 denominator, which is exactly the canonical form the wire format needs.
 What this module adds is a strict text form ("p/q" or "p", nothing else),
-a context object pinning v with a safety cap on exponents, and the small
-q-number zoo used everywhere downstream:
+a context object pinning v, and the small q-number zoo used everywhere
+downstream:
 
     gamma_n = (v^n - v^-n) / (v - v^-1)       gamma_0 = 0, gamma_1 = 1
     gamma_n! = gamma_1 * gamma_2 * ... * gamma_n,   gamma_0! = 1
@@ -66,35 +66,27 @@ class QContext:
     """A fixed rational base point v = q^(1/2) with 0 < v < 1.
 
     q = v^2 and alpha = (v + 1/v)/2 are precomputed since they appear in
-    every operator application. exp_cap bounds |n| in v^n; the q-numbers
-    grow like v^-n, so the cap catches runaway degrees early instead of
-    letting an exact computation silently eat memory.
+    every operator application.
     """
 
     v: Rational
     q: Rational = field(init=False)
     alpha: Rational = field(init=False)
-    exp_cap: int = 64
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", self.v * self.v)
         object.__setattr__(self, "alpha", (self.v + 1 / self.v) / 2)
 
     def vpow(self, n: int) -> Rational:
-        """v^n for any integer n, cap-checked."""
-        if abs(n) > self.exp_cap:
-            raise DomainError(
-                f"exponent {n} exceeds cap {self.exp_cap}; "
-                "raise exp_cap if this is intentional"
-            )
+        """v^n for any integer n."""
         return self.v ** n
 
     def qpow(self, n: int) -> Rational:
-        """q^n = v^(2n), sharing the same cap in v-units."""
+        """q^n = v^(2n)."""
         return self.vpow(2 * n)
 
 
-def make_qcontext(v: Rational | int | str, exp_cap: int = 64) -> QContext:
+def make_qcontext(v: Rational | int | str) -> QContext:
     """Validate and build a QContext.
 
     Accepts a Fraction, an int (rejected unless it happens to be in range,
@@ -105,9 +97,7 @@ def make_qcontext(v: Rational | int | str, exp_cap: int = 64) -> QContext:
     v = Fraction(v)
     if not (0 < v < 1):
         raise DomainError(f"v must satisfy 0 < v < 1, got {v}")
-    if exp_cap < 1:
-        raise DomainError(f"exp_cap must be positive, got {exp_cap}")
-    return QContext(v=v, exp_cap=exp_cap)
+    return QContext(v=v)
 
 
 @lru_cache(maxsize=None)

@@ -63,7 +63,7 @@ def test_criterion_family_construction():
         for vtext, sigtext in PARAM_SETS:
             fam = cached_family(vtext, sigtext, 12)
             ctx, q = fam.ctx, fam.ctx.q
-            f, g, _ = equation_coeffs(ctx, fam.params)
+            f, g = equation_coeffs(ctx, fam.params)
             sigma4 = fam.params.sigmas[3]
             for n in range(13):
                 p = fam.poly(n)

@@ -35,16 +35,11 @@ class TestVerifyIdentities:
         _, second, _ = run(argv, capsys)
         assert first == second
 
-    def test_zero_trials_warns_but_passes(self, capsys):
-        code, out, _ = run(
+    def test_zero_trials_is_a_usage_error(self, capsys):
+        code, out, err = run(
             ["verify-identities", "--qsqrt", "1/2", "--trials", "0"], capsys
         )
-        assert code == 0
-        blob = json.loads(out)
-        assert blob["checks"] == [
-            {"name": "warning", "k": None, "n": None, "passed": True,
-             "witness": "no trials requested"}
-        ]
+        assert code == 2 and out == "" and "--trials" in err
 
     def test_bad_v_is_a_usage_error(self, capsys):
         code, out, err = run(["verify-identities", "--qsqrt", "2"], capsys)
@@ -77,6 +72,16 @@ class TestBuildFamily:
             capsys,
         )
         assert by_roots == by_sigmas
+
+    @pytest.mark.parametrize("flag,values", [
+        ("--sigmas", "-1/2,1/3,1/5,1/7"),
+        ("--params", "-1/2,1/3,-1/4,1/5"),
+    ])
+    def test_negative_first_value_after_a_space(self, flag, values, capsys):
+        head = ["build-family", "--qsqrt", "1/2", "--nmax", "3"]
+        spaced = run(head + [flag, values], capsys)
+        glued = run(head + [f"{flag}={values}"], capsys)
+        assert spaced[0] == 0 and spaced == glued
 
     def test_out_flag_writes_the_file(self, tmp_path, capsys):
         target = tmp_path / "fam.json"
@@ -168,11 +173,39 @@ class TestVerifyChain:
             ["verify-chain", "--family", "/nonexistent/fam.json"],
             ["verify-chain", "--qsqrt", "1/2", "--sigmas", "0,0,0,0", "--k", "0"],
             ["verify-chain", "--qsqrt", "1/2", "--sigmas", "0,0,0,0", "--k", "a"],
+            # no eq_final degree: nothing would be verified
+            ["verify-chain", "--qsqrt", "1/2", "--sigmas", "0,0,0,0", "--nmax", "0"],
+            ["verify-chain", "--qsqrt", "1/2", "--sigmas", "0,0,0,0", "--nmax", "1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
         code, _, err = run(argv, capsys)
         assert code == 2 and err != ""
+
+    def test_family_too_small_for_k_is_rejected(self, tmp_path, capsys):
+        fam_path = tmp_path / "fam.json"
+        run(
+            ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0",
+             "--nmax", "4", "--out", str(fam_path)],
+            capsys,
+        )
+        # N = 4 = max(k) + 2: no eq_final degree exists at k = 2
+        code, out, err = run(
+            ["verify-chain", "--family", str(fam_path), "--nmax", "4",
+             "--k", "1,2"],
+            capsys,
+        )
+        assert code == 2 and out == "" and "nothing to verify" in err
+
+    def test_bool_size_in_family_file(self, tmp_path, capsys):
+        blob = family_to_dict(
+            build_family(make_qcontext(Fraction(1, 2)), params_from_sigmas(0, 0, 0, 0), 1)
+        )
+        blob["N"] = True
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(json.dumps(blob))
+        code, out, err = run(["verify-chain", "--family", str(fam_path)], capsys)
+        assert code == 2 and out == "" and "N must be an int" in err
 
     def test_malformed_family_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -243,7 +243,7 @@ class TestNoCommonZeros:
 
 class TestStructureRelation:
     def test_band_for_the_equation_coefficient(self):
-        f, _, _ = equation_coeffs(QH8.ctx, QH8.params)
+        f, _ = equation_coeffs(QH8.ctx, QH8.params)
         assert verify_structure_relation(QH8, 1, f, 3, 4).passed
         assert not verify_structure_relation(QH8, 1, f, 2, 4).passed
 
@@ -253,7 +253,7 @@ class TestStructureRelation:
         assert not verify_structure_relation(QH8, 1, one, 0, 4).passed
 
     def test_argument_validation(self):
-        f, _, _ = equation_coeffs(QH8.ctx, QH8.params)
+        f, _ = equation_coeffs(QH8.ctx, QH8.params)
         with pytest.raises(DomainError):
             verify_structure_relation(QH8, 1, PolyX.zero(), 2, 4)
         with pytest.raises(UsageError):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from awcalc import (
     DomainError,
-    QContext,
     UsageError,
     alpha_k,
     format_rational,
@@ -69,17 +68,9 @@ class TestQContext:
         assert ctx.vpow(-3) == Fraction(8)
         assert ctx.qpow(2) == Fraction(1, 16)
 
-    def test_exponent_cap(self):
-        ctx = QContext(Fraction(1, 2), exp_cap=4)
-        assert ctx.vpow(4) == Fraction(1, 16)
-        with pytest.raises(DomainError):
-            ctx.vpow(5)
-        with pytest.raises(DomainError):
-            ctx.vpow(-5)
-
-    def test_exp_cap_must_be_positive(self):
-        with pytest.raises(DomainError):
-            make_qcontext(Fraction(1, 2), exp_cap=0)
+    def test_no_exponent_cap(self):
+        # exponents grow with the requested degree; none is out of range
+        assert make_qcontext(Fraction(1, 2)).qpow(-40) == 4**40
 
 
 class TestGamma:
