@@ -59,7 +59,6 @@ from .askey_wilson import (
     build_family,
     eigenvalue,
     equation_coeffs,
-    expand_in_basis,
     family_from_dict,
     family_to_dict,
     make_params,
@@ -72,6 +71,7 @@ from .proof_engine import (
     CHAIN_EQUATIONS,
     AWMatch,
     ChainCoeffs,
+    ChainWorkspace,
     CheckRecord,
     DerivedFamily,
     ExtractionResult,
@@ -88,7 +88,6 @@ from .proof_engine import (
     run_chain_verification,
     verify_chain_equation,
     verify_final_matches_aw,
-    verify_structure_relation,
 )
 
 __version__ = "0.1.0"

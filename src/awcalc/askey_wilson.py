@@ -238,24 +238,6 @@ def build_family(ctx: QContext, params: AWParams, N: int) -> AWFamily:
     return AWFamily(ctx=ctx, params=params, N=N, polys=polys, B=bs, C=cs)
 
 
-def expand_in_basis(p: PolyX, family: AWFamily) -> tuple[Rational, ...]:
-    """Coefficients of p in the family basis, index j for p_j."""
-    if p.degree > family.N:
-        raise UsageError(
-            f"degree {p.degree} exceeds the family range {family.N}"
-        )
-    out = [Fraction(0)] * (family.N + 1)
-    r = p
-    while r:
-        d = r.degree
-        c = r.leading
-        out[d] = c
-        r = r - c * family.polys[d]
-        if r and r.degree >= d:
-            raise InternalError("basis expansion failed to reduce degree")
-    return tuple(out)
-
-
 def family_to_dict(family: AWFamily) -> dict:
     return {
         "v": format_rational(family.ctx.v),

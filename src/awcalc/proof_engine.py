@@ -15,14 +15,25 @@ shape, walking the same elimination chain every time:
                eliminated; their coefficients are the chain displays
                D_n, E_n, F_n, Dtilde_n, Etilde_n computed by chain_coeffs;
   eq3b, eq3a   the D-image counterparts, same coefficients;
-  eq6, eq7     cross-substitutions that leave a single second-order
-               relation for one P[k-1]_n, with composite coefficients
-               f_n, g_n;
+  eq6          eq3b and eq3 substituted into eq3a, which leaves a single
+               second-order relation for P[k-1]_n with the composite
+               coefficients of chain_coeffs at n:
+                 f_n D^2 P_n + g_n SD P_n
+                   + Etilde_n (gamma_k / gamma_(n-1)) C'_(n-1) P_n = 0,
+               C' being the derived family's recurrence data;
+  eq7          the same relation for P[k-1]_n from the displays at n-1:
+                 f_(n-1) D^2 P_n + g_(n-1) SD P_n
+                   + (gamma_k / gamma_(n+1)) E_(n-1) P_n = 0;
   eq_final     after extract_rn_fg divides out the degree-dependent scale
                r_n, one fixed pair (f, g) annihilates every degree.
 
-The tags are kept as opaque stage labels; they are also the record names
-in the JSON report, so they are part of the wire format.
+Each tag maps to its own residual function, so an unknown tag is rejected
+rather than checked as another. The tags are also the record names in the
+JSON report, so they are part of the wire format.
+
+A run computes each D, D^2 and SD image of a P[k-1]_m once: the residuals
+read them from a ChainWorkspace that run_chain_verification creates and
+passes down, and a direct call without one builds a throwaway workspace.
 
 chain_coeffs gives the closed-form displays. chain_coeffs_by_elimination
 re-derives every one of them by brute-force anchored elimination on the
@@ -50,7 +61,6 @@ from .askey_wilson import (
     Ladder,
     eigenvalue,
     equation_coeffs,
-    expand_in_basis,
     params_from_sigmas,
     three_term_data,
 )
@@ -78,11 +88,6 @@ from .scalars import (
     gamma,
     gamma_factorial,
 )
-
-CHAIN_EQUATIONS = (
-    "eq1a", "eq1b", "eq3", "eq4", "eq3b", "eq3a", "eq6", "eq7", "eq_final",
-)
-
 
 @dataclass(frozen=True)
 class DerivedFamily(Ladder):
@@ -340,83 +345,187 @@ def extract_rn_fg(
     return _extract_proportional(pairs)
 
 
+class ChainWorkspace:
+    """Operator images of the P[j]_m that one chain run reads.
+
+    Every residual at order k is built from D, D^2 and SD of the
+    polynomials P[k-1]_m, and a run asks for the same images at many tags
+    and degrees. The workspace computes each one on first use, through
+    apply_Dq and apply_Sq, and keeps it indexed by (j, m). It belongs to one
+    base family and lives for one run; run_chain_verification creates it.
+    """
+
+    def __init__(self, base: AWFamily):
+        self.base = base
+        self._D: dict[tuple[int, int], PolyX] = {}
+        self._D2: dict[tuple[int, int], PolyX] = {}
+        self._SD: dict[tuple[int, int], PolyX] = {}
+
+    def D(self, fam: DerivedFamily, m: int) -> PolyX:
+        key = (fam.k, m)
+        if key not in self._D:
+            self._D[key] = apply_Dq(self.base.ctx, fam.polys[m])
+        return self._D[key]
+
+    def D2(self, fam: DerivedFamily, m: int) -> PolyX:
+        key = (fam.k, m)
+        if key not in self._D2:
+            self._D2[key] = apply_Dq(self.base.ctx, self.D(fam, m))
+        return self._D2[key]
+
+    def SD(self, fam: DerivedFamily, m: int) -> PolyX:
+        key = (fam.k, m)
+        if key not in self._SD:
+            self._SD[key] = apply_Sq(self.base.ctx, self.D(fam, m))
+        return self._SD[key]
+
+
+def _workspace_for(
+    base: AWFamily, workspace: ChainWorkspace | None
+) -> ChainWorkspace:
+    """The caller's workspace, or a throwaway one for a single call."""
+    if workspace is None:
+        return ChainWorkspace(base)
+    if workspace.base is not base:
+        raise UsageError("the workspace belongs to another base family")
+    return workspace
+
+
+@dataclass(frozen=True)
+class _Terms:
+    """What a chain residual at order k reads: the base and derived
+    families, and P = P[k-1] with its images from the workspace."""
+
+    base: AWFamily
+    dfam: DerivedFamily
+    prev: DerivedFamily
+    ws: ChainWorkspace
+
+    def P(self, m: int) -> PolyX:
+        return self.prev.polys[m]
+
+    def D(self, m: int) -> PolyX:
+        return self.ws.D(self.prev, m)
+
+    def D2(self, m: int) -> PolyX:
+        return self.ws.D2(self.prev, m)
+
+    def SD(self, m: int) -> PolyX:
+        return self.ws.SD(self.prev, m)
+
+
+def _eq1a(t: _Terms, n: int) -> PolyX:
+    base, ctx, k = t.base, t.base.ctx, t.dfam.k
+    return (
+        gamma(ctx, k) * apply_Sq(ctx, t.P(n))
+        + alpha_k(ctx, k) * PolyX.x() * t.D(n)
+        - (gamma(ctx, n + k) / gamma(ctx, n + 1)) * t.D(n + 1)
+        - base.recurrence_B(n + k - 1) * t.D(n)
+        - (gamma(ctx, n) / gamma(ctx, n + k - 1))
+        * base.recurrence_C(n + k - 1) * t.D(n - 1)
+    )
+
+
+def _eq1b(t: _Terms, n: int) -> PolyX:
+    ctx, dfam = t.base.ctx, t.dfam
+    return (
+        (1 / gamma(ctx, n)) * PolyX.x() * t.D(n)
+        - (1 / gamma(ctx, n + 1)) * t.D(n + 1)
+        - (dfam.recurrence_B(n - 1) / gamma(ctx, n)) * t.D(n)
+        - (dfam.recurrence_C(n - 1) / gamma(ctx, n - 1)) * t.D(n - 1)
+    )
+
+
+def _eq3(t: _Terms, n: int) -> PolyX:
+    ctx, dfam = t.base.ctx, t.dfam
+    cc = chain_coeffs(t.base, dfam, n)
+    _, u2 = structural_polys(ctx)
+    return (
+        cc.Dn * t.SD(n) + cc.En * u2 * t.D2(n)
+        + (gamma(ctx, dfam.k) / gamma(ctx, n - 1)) * dfam.recurrence_C(n - 1)
+        * t.P(n)
+        - cc.Fn * t.SD(n + 1)
+    )
+
+
+def _eq4(t: _Terms, n: int) -> PolyX:
+    ctx = t.base.ctx
+    cc = chain_coeffs(t.base, t.dfam, n)
+    _, u2 = structural_polys(ctx)
+    return (
+        cc.Dtilde * t.SD(n + 1) - cc.Etilde * u2 * t.D2(n + 1)
+        - (gamma(ctx, t.dfam.k) / gamma(ctx, n + 2)) * t.P(n + 1)
+        - cc.Fnext * t.SD(n)
+    )
+
+
+def _eq3b(t: _Terms, n: int) -> PolyX:
+    cc = chain_coeffs(t.base, t.dfam, n)
+    return cc.Dn * t.D2(n) + cc.En * t.SD(n) - cc.Fn * t.D2(n + 1)
+
+
+def _eq3a(t: _Terms, n: int) -> PolyX:
+    cc = chain_coeffs(t.base, t.dfam, n)
+    return cc.Dtilde * t.D2(n + 1) - cc.Etilde * t.SD(n + 1) - cc.Fnext * t.D2(n)
+
+
+def _eq6(t: _Terms, n: int) -> PolyX:
+    ctx, dfam = t.base.ctx, t.dfam
+    cc = chain_coeffs(t.base, dfam, n)
+    return (
+        cc.fn * t.D2(n) + cc.gn * t.SD(n)
+        + cc.Etilde * (gamma(ctx, dfam.k) / gamma(ctx, n - 1))
+        * dfam.recurrence_C(n - 1) * t.P(n)
+    )
+
+
+def _eq7(t: _Terms, n: int) -> PolyX:
+    ctx = t.base.ctx
+    cc = chain_coeffs(t.base, t.dfam, n - 1)
+    return (
+        cc.fn * t.D2(n) + cc.gn * t.SD(n)
+        + (gamma(ctx, t.dfam.k) / gamma(ctx, n + 1)) * cc.En * t.P(n)
+    )
+
+
+# residual of each chain equation but eq_final, which also reads the
+# extracted pair and reports an eigenvalue
+_RESIDUALS = {
+    "eq1a": _eq1a, "eq1b": _eq1b, "eq3": _eq3, "eq4": _eq4,
+    "eq3b": _eq3b, "eq3a": _eq3a, "eq6": _eq6, "eq7": _eq7,
+}
+CHAIN_EQUATIONS = (*_RESIDUALS, "eq_final")
+
+
 def verify_chain_equation(
     base: AWFamily,
     dfam: DerivedFamily,
     which: str,
     n: int,
     extraction: ExtractionResult | None = None,
+    workspace: ChainWorkspace | None = None,
 ) -> OperatorCheckResult:
     """Residual check of one chain equation at one degree.
 
     The residual is an exact polynomial; passed means it is identically
     zero. eq_final additionally reports the eigenvalue it read off the
-    leading coefficient in the witness field.
+    leading coefficient in the witness field. Operator images come from
+    workspace, or from a throwaway one when it is None.
     """
     if which not in CHAIN_EQUATIONS:
         raise UsageError(f"unknown chain equation {which!r}")
-    ctx, k = base.ctx, dfam.k
-    prev = derived_family(base, k - 1)
-    P = prev.polys
-    x = PolyX.x()
-    _, u2 = structural_polys(ctx)
-    gk = gamma(ctx, k)
-
-    def D(m: int) -> PolyX:
-        return apply_Dq(ctx, P[m])
-
-    def D2(m: int) -> PolyX:
-        return apply_Dq(ctx, apply_Dq(ctx, P[m]))
-
-    def SD(m: int) -> PolyX:
-        return apply_Sq(ctx, apply_Dq(ctx, P[m]))
-
-    if which == "eq1a":
-        res = (
-            gk * apply_Sq(ctx, P[n]) + alpha_k(ctx, k) * x * D(n)
-            - (gamma(ctx, n + k) / gamma(ctx, n + 1)) * D(n + 1)
-            - base.recurrence_B(n + k - 1) * D(n)
-            - (gamma(ctx, n) / gamma(ctx, n + k - 1))
-            * base.recurrence_C(n + k - 1) * D(n - 1)
-        )
-    elif which == "eq1b":
-        res = (
-            (1 / gamma(ctx, n)) * x * D(n)
-            - (1 / gamma(ctx, n + 1)) * D(n + 1)
-            - (dfam.recurrence_B(n - 1) / gamma(ctx, n)) * D(n)
-            - (dfam.recurrence_C(n - 1) / gamma(ctx, n - 1)) * D(n - 1)
-        )
-    elif which == "eq_final":
-        if extraction is None:
-            raise DependencyError("eq_final needs the extracted coefficient pair")
-        h = extraction.f * D2(n) + extraction.g * SD(n)
+    if which == "eq_final" and extraction is None:
+        raise DependencyError("eq_final needs the extracted coefficient pair")
+    t = _Terms(base=base, dfam=dfam, prev=derived_family(base, dfam.k - 1),
+               ws=_workspace_for(base, workspace))
+    if which == "eq_final":
+        h = extraction.f * t.D2(n) + extraction.g * t.SD(n)
         mu = -h.coeff(n)
-        res = h + mu * P[n]
+        res = h + mu * t.P(n)
         return OperatorCheckResult(
             name=which, passed=not res, residual=res, witness=mu
         )
-    elif which == "eq7":
-        cc = chain_coeffs(base, dfam, n - 1)
-        res = cc.fn * D2(n) + cc.gn * SD(n) \
-            + (gk / gamma(ctx, n + 1)) * cc.En * P[n]
-    else:
-        cc = chain_coeffs(base, dfam, n)
-        if which == "eq3":
-            res = (
-                cc.Dn * SD(n) + cc.En * u2 * D2(n)
-                + (gk / gamma(ctx, n - 1)) * dfam.recurrence_C(n - 1) * P[n]
-                - cc.Fn * SD(n + 1)
-            )
-        elif which == "eq4":
-            res = (
-                cc.Dtilde * SD(n + 1) - cc.Etilde * u2 * D2(n + 1)
-                - (gk / gamma(ctx, n + 2)) * P[n + 1]
-                - cc.Fnext * SD(n)
-            )
-        elif which == "eq3b":
-            res = cc.Dn * D2(n) + cc.En * SD(n) - cc.Fn * D2(n + 1)
-        else:  # eq3a
-            res = cc.Dtilde * D2(n + 1) - cc.Etilde * SD(n + 1) - cc.Fnext * D2(n)
+    res = _RESIDUALS[which](t, n)
     return OperatorCheckResult(name=which, passed=not res, residual=res)
 
 
@@ -486,32 +595,6 @@ def check_nonvanishing(
     )
 
 
-def verify_structure_relation(
-    base: AWFamily, k: int, pi: PolyX, m: int, n: int
-) -> OperatorCheckResult:
-    """Expand pi * D^k p_n in the base family and test the band shape:
-    coefficients vanish outside [n-m, n+m-2k+deg pi] and the one at n-m is
-    nonzero. The witness is that edge coefficient."""
-    if not pi:
-        raise DomainError("pi must be nonzero")
-    if k < 1 or m < 0:
-        raise UsageError(f"need k >= 1 and m >= 0, got k={k} m={m}")
-    if n < m + k:
-        raise UsageError(f"need n >= m + k, got n={n}, m={m}, k={k}")
-    deg_pi = pi.degree
-    if deg_pi + n - k > base.N:
-        raise UsageError("expansion would exceed the family range")
-    coeffs = expand_in_basis(pi * apply_Dq_power(base.ctx, base.polys[n], k), base)
-    lo, hi = n - m, n + m - 2 * k + deg_pi
-    outside = all(
-        c == 0 for j, c in enumerate(coeffs) if j < lo or j > hi
-    )
-    edge = coeffs[lo]
-    return OperatorCheckResult(
-        name="structure_relation", passed=outside and edge != 0, witness=edge
-    )
-
-
 @dataclass(frozen=True)
 class AWMatch:
     """Recovered parameter vector and overall scale of the final form."""
@@ -521,7 +604,10 @@ class AWMatch:
 
 
 def verify_final_matches_aw(
-    base: AWFamily, dfam: DerivedFamily, extraction: ExtractionResult
+    base: AWFamily,
+    dfam: DerivedFamily,
+    extraction: ExtractionResult,
+    workspace: ChainWorkspace | None = None,
 ) -> AWMatch:
     """Match the extracted (f, g) to c * (coefficient form at some sigma).
 
@@ -531,7 +617,8 @@ def verify_final_matches_aw(
     the eigenvalue read off eq_final must equal -c times the
     operator-equation eigenvalue at the recovered parameters, for every
     extracted degree; with the solve above this pins the display formula
-    of eigenvalue() against the operator algebra.
+    of eigenvalue() against the operator algebra. The operator images come
+    from workspace, as in verify_chain_equation.
     """
     ctx = base.ctx
     v, q = ctx.v, ctx.q
@@ -553,10 +640,10 @@ def verify_final_matches_aw(
     faw, gaw = equation_coeffs(ctx, params)
     if c * faw != f or c * gaw != g:
         raise NoRationalMatch("round trip through the coefficient form mismatched")
+    ws = _workspace_for(base, workspace)
     prev = derived_family(base, dfam.k - 1)
     for n in sorted(extraction.r):
-        dp = apply_Dq(ctx, prev.polys[n])
-        h = f * apply_Dq(ctx, dp) + g * apply_Sq(ctx, dp)
+        h = f * ws.D2(prev, n) + g * ws.SD(prev, n)
         if -h.coeff(n) != -c * eigenvalue(ctx, params, n):
             raise NoRationalMatch(f"eigenvalue mismatch at degree {n}")
     return AWMatch(params=params, c=c)
@@ -581,8 +668,12 @@ def record_sort_key(rec: CheckRecord):
 
 
 def residual_witness(res: OperatorCheckResult) -> str:
-    """Report witness of a residual check: "0", or the residual's degree."""
-    return "0" if res.passed else f"deg={res.residual.degree}"
+    """Report witness of a residual check: "0", or the degree and leading
+    coefficient of the nonzero residual."""
+    if res.passed:
+        return "0"
+    lead = format_rational(res.residual.leading)
+    return f"deg={res.residual.degree};lead={lead}"
 
 
 def report_to_dict(report: ProofReport) -> dict:
@@ -592,7 +683,9 @@ def report_to_dict(report: ProofReport) -> dict:
     }
 
 
-def _verify_one_k(base: AWFamily, k: int, n_max: int) -> list[CheckRecord]:
+def _verify_one_k(
+    base: AWFamily, k: int, n_max: int, ws: ChainWorkspace
+) -> list[CheckRecord]:
     ctx = base.ctx
     records: list[CheckRecord] = []
     dfam = derived_family(base, k)
@@ -603,7 +696,8 @@ def _verify_one_k(base: AWFamily, k: int, n_max: int) -> list[CheckRecord]:
                                    witness=witness))
 
     def run_eq(which: str, n: int, extraction=None) -> OperatorCheckResult:
-        res = verify_chain_equation(base, dfam, which, n, extraction=extraction)
+        res = verify_chain_equation(base, dfam, which, n,
+                                    extraction=extraction, workspace=ws)
         add(which, n, res.passed, residual_witness(res))
         return res
 
@@ -650,7 +744,8 @@ def _verify_one_k(base: AWFamily, k: int, n_max: int) -> list[CheckRecord]:
                     format_rational(mu) if ok
                     else f"{format_rational(mu)} != {format_rational(expected)}")
             try:
-                match = verify_final_matches_aw(base, dfam, extraction)
+                match = verify_final_matches_aw(base, dfam, extraction,
+                                                workspace=ws)
                 sig = ",".join(format_rational(s) for s in match.params.sigmas)
                 add("aw_form_match", None, True,
                     f"c={format_rational(match.c)};sigmas={sig}")
@@ -695,9 +790,10 @@ def run_chain_verification(
     Verification failures become failed records, never exceptions; bad
     arguments, including runs that would verify nothing, still raise."""
     ks = chain_orders(k_list, base.N, n_max)
+    ws = ChainWorkspace(base)
     records: list[CheckRecord] = []
     for k in ks:
-        records.extend(_verify_one_k(base, k, n_max))
+        records.extend(_verify_one_k(base, k, n_max, ws))
     records.sort(key=record_sort_key)
     context = {
         "v": format_rational(base.ctx.v),

@@ -14,7 +14,6 @@ from awcalc import (
     apply_Sq,
     eigenvalue,
     equation_coeffs,
-    expand_in_basis,
     family_from_dict,
     family_to_dict,
     make_params,
@@ -157,13 +156,6 @@ class TestThreeTermData:
         seq = [PolyX.one(), x, x * x, x**3 + PolyX.one()]
         with pytest.raises(OrthogonalityBroken):
             three_term_data(seq)
-
-    def test_expand_in_basis(self):
-        fam = cached_family("1/2", "0,0,0,0", 4)
-        coeffs = expand_in_basis(PolyX((0, 0, 1)), fam)
-        assert coeffs == (Fraction(3, 16), 0, 1, 0, 0)
-        with pytest.raises(UsageError):
-            expand_in_basis(PolyX.monomial(5, Fraction(1)), fam)
 
 
 class TestSerialisation:

@@ -153,6 +153,33 @@ class TestVerifyChain:
         assert code == 1
         assert "FAIL [" in out
 
+    def test_eq6_checks_its_own_residual(self, tmp_path, capsys):
+        # C_6 enters the eq6 displays at n + k - 1 = 6 but not eq3a there
+        fam_path = tmp_path / "fam.json"
+        run(
+            ["build-family", "--qsqrt", "1/2", "--sigmas=1/2,-1,3/4,2",
+             "--nmax", "12", "--out", str(fam_path)],
+            capsys,
+        )
+        blob = json.loads(fam_path.read_text())
+        blob["C"][5] = str(Fraction(blob["C"][5]) + 1)  # C_6
+        fam_path.write_text(json.dumps(blob))
+        code, out, _ = run(
+            ["verify-chain", "--family", str(fam_path), "--nmax", "7",
+             "--k", "1,2,3"],
+            capsys,
+        )
+        assert code == 1
+        recs = {(c["name"], c["k"], c["n"]): c for c in json.loads(out)["checks"]}
+        for k, n in ((1, 6), (2, 5), (3, 4)):
+            assert recs[("eq3a", k, n)]["passed"]
+            assert recs[("eq3a", k, n)]["witness"] == "0"
+            eq6 = recs[("eq6", k, n)]
+            assert not eq6["passed"]
+            deg, lead = eq6["witness"].split(";")
+            assert deg == f"deg={n - 2}"
+            assert lead.startswith("lead=") and Fraction(lead[5:]) != 0
+
     def test_text_format(self, capsys):
         code, out, _ = run(
             ["verify-chain", "--qsqrt", "1/2", "--sigmas", "0,0,0,0",

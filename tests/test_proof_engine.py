@@ -6,6 +6,7 @@ import pytest
 
 from awcalc import (
     AWMatch,
+    ChainWorkspace,
     CheckRecord,
     DependencyError,
     DomainError,
@@ -22,7 +23,6 @@ from awcalc import (
     check_no_common_zeros,
     check_nonvanishing,
     derived_family,
-    equation_coeffs,
     extract_rn_fg,
     gamma,
     make_qcontext,
@@ -32,8 +32,8 @@ from awcalc import (
     run_chain_verification,
     verify_chain_equation,
     verify_final_matches_aw,
-    verify_structure_relation,
 )
+from awcalc import proof_engine
 from awcalc.proof_engine import CHAIN_EQUATIONS, _extract_proportional
 from helpers import PARAM_SETS, SET_B, cached_family
 
@@ -160,6 +160,21 @@ class TestChainEquations:
         with pytest.raises(UsageError):
             verify_chain_equation(QH8, dfam, "eq2", 3)
 
+    def test_workspace_of_another_base_rejected(self):
+        dfam = derived_family(B8, 1)
+        with pytest.raises(UsageError, match="another base"):
+            verify_chain_equation(B8, dfam, "eq3", 2,
+                                  workspace=ChainWorkspace(QH8))
+
+    def test_workspace_gives_the_same_residuals(self):
+        ws = ChainWorkspace(B8)
+        for k in (1, 2):
+            dfam = derived_family(B8, k)
+            for which in ("eq3", "eq4", "eq6", "eq7"):
+                shared = verify_chain_equation(B8, dfam, which, 3, workspace=ws)
+                alone = verify_chain_equation(B8, dfam, which, 3)
+                assert shared == alone and shared.passed
+
     def test_vocabulary(self):
         assert CHAIN_EQUATIONS == (
             "eq1a", "eq1b", "eq3", "eq4", "eq3b", "eq3a", "eq6", "eq7", "eq_final",
@@ -239,29 +254,6 @@ class TestNoCommonZeros:
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
             check_no_common_zeros(QH8.ctx, PolyX.one())
-
-
-class TestStructureRelation:
-    def test_band_for_the_equation_coefficient(self):
-        f, _ = equation_coeffs(QH8.ctx, QH8.params)
-        assert verify_structure_relation(QH8, 1, f, 3, 4).passed
-        assert not verify_structure_relation(QH8, 1, f, 2, 4).passed
-
-    def test_band_for_trivial_multiplier(self):
-        one = PolyX.one()
-        assert verify_structure_relation(QH8, 1, one, 1, 4).passed
-        assert not verify_structure_relation(QH8, 1, one, 0, 4).passed
-
-    def test_argument_validation(self):
-        f, _ = equation_coeffs(QH8.ctx, QH8.params)
-        with pytest.raises(DomainError):
-            verify_structure_relation(QH8, 1, PolyX.zero(), 2, 4)
-        with pytest.raises(UsageError):
-            verify_structure_relation(QH8, 0, f, 2, 4)
-        with pytest.raises(UsageError):
-            verify_structure_relation(QH8, 1, f, 2, 2)  # n < m + k
-        with pytest.raises(UsageError):
-            verify_structure_relation(QH8, 1, f, 2, 8)  # expansion exceeds N
 
 
 class TestFinalMatch:
@@ -357,6 +349,37 @@ class TestRunChainVerification:
         once = run_chain_verification(QH8, [2], 4)
         twice = run_chain_verification(QH8, [2, 2], 4)
         assert once.checks == twice.checks
+
+
+def test_each_operator_image_is_computed_once(monkeypatch):
+    # inside the chain equations and the final match, apply_Dq sees each
+    # P[k-1]_m object at most once per run (check_no_common_zeros keeps
+    # its own images, so calls from it are not counted)
+    inputs = []
+    inside = [False]
+
+    def counting(ctx, p, _apply=proof_engine.apply_Dq):
+        if inside[0]:
+            inputs.append(p)
+        return _apply(ctx, p)
+
+    def scoped(fn):
+        def wrapper(*args, **kwargs):
+            inside[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = False
+        return wrapper
+
+    monkeypatch.setattr(proof_engine, "apply_Dq", counting)
+    for name in ("verify_chain_equation", "verify_final_matches_aw"):
+        monkeypatch.setattr(proof_engine, name,
+                            scoped(getattr(proof_engine, name)))
+    assert run_chain_verification(B8, [1, 2, 3], 5).all_passed
+    for k in (1, 2, 3):
+        for m, p in enumerate(derived_family(B8, k - 1).polys):
+            assert sum(q is p for q in inputs) <= 1, (k, m)
 
 
 def test_check_record_is_plain_data():
