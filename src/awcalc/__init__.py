@@ -80,7 +80,6 @@ from .proof_engine import (
     chain_coeffs_by_elimination,
     check_no_common_zeros,
     check_nonvanishing,
-    coeff_F,
     derived_family,
     extract_rn_fg,
     record_sort_key,

@@ -252,7 +252,10 @@ def family_to_dict(family: AWFamily) -> dict:
 def family_from_dict(data: dict) -> AWFamily:
     """Load the dict form. Shapes and monicity are validated so downstream
     index arithmetic is safe; the recurrence values are taken as given,
-    consistent or not, which is what lets verification catch corrupt ones."""
+    consistent or not. A chain run catches a corrupt value only where one
+    of its records reads it: no record reads B_0, C_1 only multiplies
+    D p_0 = 0, and values above the window that n_max and k set (B_11 for
+    N = 12, n_max = 7, k = 1, 2, 3) are not read at all."""
     if not isinstance(data, dict):
         raise UsageError("family data must be a JSON object")
     missing = {"v", "sigmas", "N", "polys", "B", "C"} - set(data)

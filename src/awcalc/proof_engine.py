@@ -31,9 +31,18 @@ Each tag maps to its own residual function, so an unknown tag is rejected
 rather than checked as another. The tags are also the record names in the
 JSON report, so they are part of the wire format.
 
-A run computes each D, D^2 and SD image of a P[k-1]_m once: the residuals
-read them from a ChainWorkspace that run_chain_verification creates and
-passes down, and a direct call without one builds a throwaway workspace.
+The derived families form a ladder, D P[k-1]_m = gamma_m P[k]_(m-1), and
+derived_family builds each order from the one below with a single D per
+polynomial. So every image a residual at order k reads is a scaled ladder
+member and is never computed again:
+
+    D P[k-1]_m   = gamma_m P[k]_(m-1)
+    D^2 P[k-1]_m = gamma_m gamma_(m-1) P[k+1]_(m-2)
+    SD P[k-1]_m  = gamma_m S P[k]_(m-1)
+
+A ChainWorkspace, created by run_chain_verification and passed down, holds
+the ladder orders of one run and the S image of each ladder member, applied
+once; a direct call without one builds a throwaway workspace.
 
 chain_coeffs gives the closed-form displays. chain_coeffs_by_elimination
 re-derives every one of them by brute-force anchored elimination on the
@@ -69,25 +78,18 @@ from .errors import (
     DomainError,
     InternalError,
     NoRationalMatch,
+    OrthogonalityBroken,
     ProportionalityFailure,
     UsageError,
 )
 from .qoperators import (
     OperatorCheckResult,
     apply_Dq,
-    apply_Dq_power,
     apply_Sq,
     structural_polys,
 )
 from .qpoly import PolyX, resultant
-from .scalars import (
-    QContext,
-    Rational,
-    alpha_k,
-    format_rational,
-    gamma,
-    gamma_factorial,
-)
+from .scalars import QContext, Rational, alpha_k, format_rational, gamma
 
 @dataclass(frozen=True)
 class DerivedFamily(Ladder):
@@ -109,7 +111,9 @@ class DerivedFamily(Ladder):
 def derived_family(base: AWFamily, k: int, M: int | None = None) -> DerivedFamily:
     """Build the k-th derived family; M defaults to base.N - k, the most
     the base supports. k = 0 wraps the base itself, so code walking the
-    ladder can treat P[0] uniformly."""
+    ladder can treat P[0] uniformly. Order k >= 1 is built from order k-1
+    as P[k]_n = D P[k-1]_(n+1) / gamma_(n+1); a ladder that breaks the
+    three-term recurrence raises OrthogonalityBroken naming its order."""
     if k < 0:
         raise UsageError(f"derivation order must be >= 0, got {k}")
     top = base.N - k if M is None else M
@@ -124,15 +128,18 @@ def derived_family(base: AWFamily, k: int, M: int | None = None) -> DerivedFamil
         cs = base.C[: max(top - 1, 0)]
         return DerivedFamily(k=0, base=base, polys=polys, B=bs, C=cs)
     ctx = base.ctx
+    prev = derived_family(base, k - 1)
     out = []
     for n in range(top + 1):
-        scale = gamma_factorial(ctx, n) / gamma_factorial(ctx, n + k)
-        pol = scale * apply_Dq_power(ctx, base.polys[n + k], k)
+        pol = apply_Dq(ctx, prev.polys[n + 1]) / gamma(ctx, n + 1)
         if pol.degree != n or pol.leading != 1:
             raise InternalError(f"derived polynomial at n={n} is not monic")
         out.append(pol)
     polys = tuple(out)
-    bs, cs = three_term_data(polys) if top >= 1 else ((), ())
+    try:
+        bs, cs = three_term_data(polys) if top >= 1 else ((), ())
+    except OrthogonalityBroken as exc:
+        raise OrthogonalityBroken(f"derived family k={k}: {exc}") from exc
     return DerivedFamily(k=k, base=base, polys=polys, B=bs, C=cs)
 
 
@@ -152,7 +159,7 @@ class ChainCoeffs:
     gn: PolyX
 
 
-def coeff_F(base: AWFamily, dfam: DerivedFamily, m: int) -> Rational:
+def _coeff_F(base: AWFamily, dfam: DerivedFamily, m: int) -> Rational:
     ctx, k = base.ctx, dfam.k
     return (
         gamma(ctx, m + k) * dfam.recurrence_C(m - 1)
@@ -176,8 +183,8 @@ def chain_coeffs(base: AWFamily, dfam: DerivedFamily, n: int) -> ChainCoeffs:
     dn = PolyX((d0, d1))
     en = gamma(ctx, k + 1) * ck1 / gamma(ctx, n - 1) \
         - cnk1 / gamma(ctx, n + k - 1)
-    fn_scalar = coeff_F(base, dfam, n)
-    fnext = coeff_F(base, dfam, n + 1)
+    fn_scalar = _coeff_F(base, dfam, n)
+    fnext = _coeff_F(base, dfam, n + 1)
     # x slot is alpha_n * gamma_k, not alpha_k * gamma_n; the anchored
     # elimination in chain_coeffs_by_elimination pins this order, and eq4
     # fails with an x^3 residual under the swap.
@@ -346,38 +353,31 @@ def extract_rn_fg(
 
 
 class ChainWorkspace:
-    """Operator images of the P[j]_m that one chain run reads.
+    """The derived ladder and the S images that one chain run reads.
 
-    Every residual at order k is built from D, D^2 and SD of the
-    polynomials P[k-1]_m, and a run asks for the same images at many tags
-    and degrees. The workspace computes each one on first use, through
-    apply_Dq and apply_Sq, and keeps it indexed by (j, m). It belongs to one
-    base family and lives for one run; run_chain_verification creates it.
+    A residual at order k reads P[k-1], P[k] and P[k+1] and the S images of
+    the first two (see the module docstring). The workspace fetches each
+    order once through derived_family, whose cache key rehashes the whole
+    base, and applies apply_Sq to each ladder member once, keeping the image
+    indexed by (j, m). It belongs to one base family and lives for one run;
+    run_chain_verification creates it.
     """
 
     def __init__(self, base: AWFamily):
         self.base = base
-        self._D: dict[tuple[int, int], PolyX] = {}
-        self._D2: dict[tuple[int, int], PolyX] = {}
-        self._SD: dict[tuple[int, int], PolyX] = {}
+        self._families: dict[int, DerivedFamily] = {}
+        self._S: dict[tuple[int, int], PolyX] = {}
 
-    def D(self, fam: DerivedFamily, m: int) -> PolyX:
-        key = (fam.k, m)
-        if key not in self._D:
-            self._D[key] = apply_Dq(self.base.ctx, fam.polys[m])
-        return self._D[key]
+    def family(self, j: int) -> DerivedFamily:
+        if j not in self._families:
+            self._families[j] = derived_family(self.base, j)
+        return self._families[j]
 
-    def D2(self, fam: DerivedFamily, m: int) -> PolyX:
-        key = (fam.k, m)
-        if key not in self._D2:
-            self._D2[key] = apply_Dq(self.base.ctx, self.D(fam, m))
-        return self._D2[key]
-
-    def SD(self, fam: DerivedFamily, m: int) -> PolyX:
-        key = (fam.k, m)
-        if key not in self._SD:
-            self._SD[key] = apply_Sq(self.base.ctx, self.D(fam, m))
-        return self._SD[key]
+    def S(self, j: int, m: int) -> PolyX:
+        key = (j, m)
+        if key not in self._S:
+            self._S[key] = apply_Sq(self.base.ctx, self.family(j).poly(m))
+        return self._S[key]
 
 
 def _workspace_for(
@@ -393,31 +393,41 @@ def _workspace_for(
 
 @dataclass(frozen=True)
 class _Terms:
-    """What a chain residual at order k reads: the base and derived
-    families, and P = P[k-1] with its images from the workspace."""
+    """What a chain residual at order k reads: P = P[k-1] and its images,
+    taken off the workspace's ladder."""
 
     base: AWFamily
     dfam: DerivedFamily
-    prev: DerivedFamily
     ws: ChainWorkspace
 
     def P(self, m: int) -> PolyX:
-        return self.prev.polys[m]
+        return self.ws.family(self.dfam.k - 1).poly(m)
+
+    def S(self, m: int) -> PolyX:
+        return self.ws.S(self.dfam.k - 1, m)
 
     def D(self, m: int) -> PolyX:
-        return self.ws.D(self.prev, m)
+        if m < 1:
+            return PolyX.zero()
+        return gamma(self.base.ctx, m) * self.ws.family(self.dfam.k).poly(m - 1)
 
     def D2(self, m: int) -> PolyX:
-        return self.ws.D2(self.prev, m)
+        if m < 2:
+            return PolyX.zero()
+        ctx = self.base.ctx
+        return gamma(ctx, m) * gamma(ctx, m - 1) \
+            * self.ws.family(self.dfam.k + 1).poly(m - 2)
 
     def SD(self, m: int) -> PolyX:
-        return self.ws.SD(self.prev, m)
+        if m < 1:
+            return PolyX.zero()
+        return gamma(self.base.ctx, m) * self.ws.S(self.dfam.k, m - 1)
 
 
 def _eq1a(t: _Terms, n: int) -> PolyX:
     base, ctx, k = t.base, t.base.ctx, t.dfam.k
     return (
-        gamma(ctx, k) * apply_Sq(ctx, t.P(n))
+        gamma(ctx, k) * t.S(n)
         + alpha_k(ctx, k) * PolyX.x() * t.D(n)
         - (gamma(ctx, n + k) / gamma(ctx, n + 1)) * t.D(n + 1)
         - base.recurrence_B(n + k - 1) * t.D(n)
@@ -516,8 +526,7 @@ def verify_chain_equation(
         raise UsageError(f"unknown chain equation {which!r}")
     if which == "eq_final" and extraction is None:
         raise DependencyError("eq_final needs the extracted coefficient pair")
-    t = _Terms(base=base, dfam=dfam, prev=derived_family(base, dfam.k - 1),
-               ws=_workspace_for(base, workspace))
+    t = _Terms(base=base, dfam=dfam, ws=_workspace_for(base, workspace))
     if which == "eq_final":
         h = extraction.f * t.D2(n) + extraction.g * t.SD(n)
         mu = -h.coeff(n)
@@ -640,10 +649,9 @@ def verify_final_matches_aw(
     faw, gaw = equation_coeffs(ctx, params)
     if c * faw != f or c * gaw != g:
         raise NoRationalMatch("round trip through the coefficient form mismatched")
-    ws = _workspace_for(base, workspace)
-    prev = derived_family(base, dfam.k - 1)
+    t = _Terms(base=base, dfam=dfam, ws=_workspace_for(base, workspace))
     for n in sorted(extraction.r):
-        h = f * ws.D2(prev, n) + g * ws.SD(prev, n)
+        h = f * t.D2(n) + g * t.SD(n)
         if -h.coeff(n) != -c * eigenvalue(ctx, params, n):
             raise NoRationalMatch(f"eigenvalue mismatch at degree {n}")
     return AWMatch(params=params, c=c)
@@ -689,7 +697,11 @@ def _verify_one_k(
     ctx = base.ctx
     records: list[CheckRecord] = []
     dfam = derived_family(base, k)
-    chain_max = min(dfam.M - 1, base.N - 1 - k)
+    # windows, from dfam.M = N - k: the ladder relations, eq7 and
+    # no_common_zeros; the chain displays; the nonvanishing certificates
+    hi_ladder = min(dfam.M, n_max)
+    hi_chain = min(dfam.M - 1, n_max)
+    hi_nonzero = min(dfam.M - 2, n_max)
 
     def add(name: str, n: int | None, passed: bool, witness: str) -> None:
         records.append(CheckRecord(name=name, k=k, n=n, passed=passed,
@@ -701,17 +713,15 @@ def _verify_one_k(
         add(which, n, res.passed, residual_witness(res))
         return res
 
-    hi_ladder = min(base.N - k, n_max)
     for n in range(1, hi_ladder + 1):
         run_eq("eq1a", n)
     for n in range(2, hi_ladder + 1):
         run_eq("eq1b", n)
 
-    hi_chain = min(chain_max, n_max)
     for n in range(2, hi_chain + 1):
         for which in ("eq3", "eq4", "eq3b", "eq3a", "eq6"):
             run_eq(which, n)
-    for n in range(3, min(chain_max + 1, n_max) + 1):
+    for n in range(3, hi_ladder + 1):
         run_eq("eq7", n)
 
     extraction = None
@@ -752,10 +762,10 @@ def _verify_one_k(
             except NoRationalMatch as exc:
                 add("aw_form_match", None, False, str(exc))
 
-    for n in range(3, min(chain_max - 1, n_max) + 1):
+    for n in range(3, hi_nonzero + 1):
         records.extend(check_nonvanishing(base, dfam, n))
 
-    for n in range(1, min(dfam.M, n_max) + 1):
+    for n in range(1, hi_ladder + 1):
         res = check_no_common_zeros(ctx, dfam.polys[n])
         add("no_common_zeros", n, res.passed, format_rational(res.witness))
 
@@ -787,8 +797,11 @@ def run_chain_verification(
 ) -> ProofReport:
     """Run the whole chain for each k and collect a sorted report.
 
-    Verification failures become failed records, never exceptions; bad
-    arguments, including runs that would verify nothing, still raise."""
+    A chain equation or certificate that does not hold becomes a failed
+    record. Two things raise instead: bad arguments, including runs that
+    would verify nothing (UsageError), and a derived family whose
+    polynomials break the three-term recurrence, so that no recurrence data
+    exist to check against (OrthogonalityBroken, naming the order k)."""
     ks = chain_orders(k_list, base.N, n_max)
     ws = ChainWorkspace(base)
     records: list[CheckRecord] = []

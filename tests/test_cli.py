@@ -180,6 +180,27 @@ class TestVerifyChain:
             assert deg == f"deg={n - 2}"
             assert lead.startswith("lead=") and Fraction(lead[5:]) != 0
 
+    # D^2 x = 0, so the changed x coefficient of p_3 breaks P^[1] only;
+    # a run at k = 3 alone still builds P^[3] through P^[1] and P^[2]
+    @pytest.mark.parametrize("ks", ["1,2,3", "3"])
+    def test_broken_ladder_names_its_order(self, ks, tmp_path, capsys):
+        fam_path = tmp_path / "fam.json"
+        run(
+            ["build-family", "--qsqrt", "1/2", "--sigmas=1/2,-1,3/4,2",
+             "--nmax", "12", "--out", str(fam_path)],
+            capsys,
+        )
+        blob = json.loads(fam_path.read_text())
+        blob["polys"][3][1] = str(Fraction(blob["polys"][3][1]) + 1)
+        fam_path.write_text(json.dumps(blob))
+        code, out, err = run(
+            ["verify-chain", "--family", str(fam_path), "--nmax", "7",
+             "--k", ks],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "derived family k=1:" in err
+
     def test_text_format(self, capsys):
         code, out, _ = run(
             ["verify-chain", "--qsqrt", "1/2", "--sigmas", "0,0,0,0",

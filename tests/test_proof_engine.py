@@ -17,6 +17,7 @@ from awcalc import (
     UsageError,
     alpha_k,
     apply_Dq,
+    apply_Dq_power,
     build_family,
     chain_coeffs,
     chain_coeffs_by_elimination,
@@ -25,6 +26,7 @@ from awcalc import (
     derived_family,
     extract_rn_fg,
     gamma,
+    gamma_factorial,
     make_qcontext,
     params_from_sigmas,
     record_sort_key,
@@ -33,9 +35,9 @@ from awcalc import (
     verify_chain_equation,
     verify_final_matches_aw,
 )
-from awcalc import proof_engine
+from awcalc import proof_engine, qoperators
 from awcalc.proof_engine import CHAIN_EQUATIONS, _extract_proportional
-from helpers import PARAM_SETS, SET_B, cached_family
+from helpers import PARAM_SETS, SET_B, SET_C, cached_family
 
 QH8 = cached_family("1/2", "0,0,0,0", 8)
 B8 = cached_family(*SET_B, 8)
@@ -54,6 +56,17 @@ class TestDerivedFamily:
             for n in range(dfam.M + 1):
                 p = dfam.poly(n)
                 assert p.degree == n and p.leading == 1
+
+    def test_matches_the_definition(self):
+        # P[k]_n = (gamma_n! / gamma_(n+k)!) D^k p_(n+k), applied directly
+        for base in (B8, cached_family(*SET_C, 10)):
+            ctx = base.ctx
+            for k in (1, 2, 3):
+                dfam = derived_family(base, k)
+                for n in range(dfam.M + 1):
+                    scale = gamma_factorial(ctx, n) / gamma_factorial(ctx, n + k)
+                    expect = scale * apply_Dq_power(ctx, base.poly(n + k), k)
+                    assert dfam.poly(n) == expect, (k, n)
 
     def test_ladder_between_consecutive_orders(self):
         ctx = B8.ctx
@@ -380,6 +393,23 @@ def test_each_operator_image_is_computed_once(monkeypatch):
     for k in (1, 2, 3):
         for m, p in enumerate(derived_family(B8, k - 1).polys):
             assert sum(q is p for q in inputs) <= 1, (k, m)
+
+
+def test_operator_applications_of_a_run(monkeypatch):
+    # one D per derived polynomial: P[1]..P[4] of B8 take 8 + 7 + 6 + 5;
+    # check_no_common_zeros applies D and S to P[k]_1..P[k]_5 for k = 1, 2, 3;
+    # the other 19 S images are the workspace's, one per ladder member read
+    calls = {"apply_Dq": 0, "apply_Sq": 0}
+    for name in calls:
+        def counting(ctx, p, _apply=getattr(qoperators, name), _name=name):
+            calls[_name] += 1
+            return _apply(ctx, p)
+        monkeypatch.setattr(qoperators, name, counting)
+        monkeypatch.setattr(proof_engine, name, counting)
+    proof_engine.derived_family.cache_clear()
+    proof_engine.chain_coeffs.cache_clear()
+    assert run_chain_verification(B8, [1, 2, 3], 5).all_passed
+    assert calls == {"apply_Dq": 41, "apply_Sq": 34}
 
 
 def test_check_record_is_plain_data():
