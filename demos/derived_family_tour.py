@@ -11,6 +11,7 @@ of the very same shape, with explicitly shifted parameters.
 from fractions import Fraction
 
 from awcalc import (
+    ChainWorkspace,
     build_family,
     chain_coeffs,
     derived_family,
@@ -42,19 +43,19 @@ def main() -> None:
         print(f"  P^[{k}]_{n} = {dfam.poly(n)!r}")
     print()
 
-    cc = chain_coeffs(base, dfam, 3)
+    cc = chain_coeffs(dfam, 3)
     print("chain displays at n = 3 (the coefficients the elimination produces):")
     print(f"  D_3 = {cc.Dn!r}")
     print(f"  E_3 = {cc.En}, F_3 = {cc.Fn}, F_4 = {cc.Fnext}")
     print(f"  Dtilde_3 = {cc.Dtilde!r}, Etilde_3 = {cc.Etilde}")
     print()
 
-    extraction = extract_rn_fg(base, dfam, range(2, 6))
+    extraction = extract_rn_fg(dfam, range(2, 6))
     print("the n-dependent pairs (f_n, g_n) collapse to one normalized pair:")
     print(f"  f = {extraction.f!r}")
     print(f"  g = {extraction.g!r}")
     print(f"  scales r_n = {extraction.r}")
-    match = verify_final_matches_aw(base, dfam, extraction)
+    match = verify_final_matches_aw(ChainWorkspace(base), k, extraction)
     print("matched against the coefficient form of the base equation:")
     print(f"  scale c = {match.c}")
     print(f"  recovered sigmas = {match.params.sigmas}")

@@ -40,9 +40,12 @@ member and is never computed again:
     D^2 P[k-1]_m = gamma_m gamma_(m-1) P[k+1]_(m-2)
     SD P[k-1]_m  = gamma_m S P[k]_(m-1)
 
-A ChainWorkspace, created by run_chain_verification and passed down, holds
-the ladder orders of one run and the S image of each ladder member, applied
-once; a direct call without one builds a throwaway workspace.
+The images no_common_zeros certifies at order k are ladder reads too:
+D P[k]_n = gamma_n P[k+1]_(n-1), and S P[k]_n is the S image that
+SD P[k-1]_(n+1) reads. A ChainWorkspace holds the ladder orders of one run
+and the S image of each ladder member, applied once, and serves every P,
+S, D, D^2 and SD image by (order, index). run_chain_verification creates
+one per run; verify_chain_equation and verify_final_matches_aw require it.
 
 chain_coeffs gives the closed-form displays. chain_coeffs_by_elimination
 re-derives every one of them by brute-force anchored elimination on the
@@ -89,7 +92,7 @@ from .qoperators import (
     structural_polys,
 )
 from .qpoly import PolyX, resultant
-from .scalars import QContext, Rational, alpha_k, format_rational, gamma
+from .scalars import Rational, alpha_k, format_rational, gamma
 
 @dataclass(frozen=True)
 class DerivedFamily(Ladder):
@@ -108,16 +111,16 @@ class DerivedFamily(Ladder):
 
 
 @lru_cache(maxsize=None)
-def derived_family(base: AWFamily, k: int, M: int | None = None) -> DerivedFamily:
-    """Build the k-th derived family; M defaults to base.N - k, the most
-    the base supports. k = 0 wraps the base itself, so code walking the
-    ladder can treat P[0] uniformly. Order k >= 1 is built from order k-1
-    as P[k]_n = D P[k-1]_(n+1) / gamma_(n+1); a ladder that breaks the
+def derived_family(base: AWFamily, k: int) -> DerivedFamily:
+    """Build the k-th derived family P[k]_0..P[k]_(N-k), the most the base
+    supports. k = 0 wraps the base itself, so code walking the ladder can
+    treat P[0] uniformly. Order k >= 1 is built from order k-1 as
+    P[k]_n = D P[k-1]_(n+1) / gamma_(n+1); a ladder that breaks the
     three-term recurrence raises OrthogonalityBroken naming its order."""
     if k < 0:
         raise UsageError(f"derivation order must be >= 0, got {k}")
-    top = base.N - k if M is None else M
-    if top < 0 or top > base.N - k:
+    top = base.N - k
+    if top < 0:
         raise UsageError(
             f"cannot build {top + 1} derived polynomials from a base of size "
             f"{base.N + 1} at k={k}"
@@ -159,8 +162,9 @@ class ChainCoeffs:
     gn: PolyX
 
 
-def _coeff_F(base: AWFamily, dfam: DerivedFamily, m: int) -> Rational:
-    ctx, k = base.ctx, dfam.k
+def _coeff_F(dfam: DerivedFamily, m: int) -> Rational:
+    base, k = dfam.base, dfam.k
+    ctx = base.ctx
     return (
         gamma(ctx, m + k) * dfam.recurrence_C(m - 1)
         / (gamma(ctx, m + 1) * gamma(ctx, m - 1))
@@ -169,10 +173,12 @@ def _coeff_F(base: AWFamily, dfam: DerivedFamily, m: int) -> Rational:
     )
 
 
+# keyed by value, never by a ChainWorkspace, so that no run is pinned here
 @lru_cache(maxsize=None)
-def chain_coeffs(base: AWFamily, dfam: DerivedFamily, n: int) -> ChainCoeffs:
+def chain_coeffs(dfam: DerivedFamily, n: int) -> ChainCoeffs:
     """Closed-form chain displays; valid for 2 <= n <= min(M-1, N-1-k)."""
-    ctx, k = base.ctx, dfam.k
+    base, k = dfam.base, dfam.k
+    ctx = base.ctx
     al = ctx.alpha
     ck1 = dfam.recurrence_C(n - 1)
     cnk1 = base.recurrence_C(n + k - 1)
@@ -183,8 +189,8 @@ def chain_coeffs(base: AWFamily, dfam: DerivedFamily, n: int) -> ChainCoeffs:
     dn = PolyX((d0, d1))
     en = gamma(ctx, k + 1) * ck1 / gamma(ctx, n - 1) \
         - cnk1 / gamma(ctx, n + k - 1)
-    fn_scalar = _coeff_F(base, dfam, n)
-    fnext = _coeff_F(base, dfam, n + 1)
+    fn_scalar = _coeff_F(dfam, n)
+    fnext = _coeff_F(dfam, n + 1)
     # x slot is alpha_n * gamma_k, not alpha_k * gamma_n; the anchored
     # elimination in chain_coeffs_by_elimination pins this order, and eq4
     # fails with an x^3 residual under the swap.
@@ -204,11 +210,12 @@ def chain_coeffs(base: AWFamily, dfam: DerivedFamily, n: int) -> ChainCoeffs:
     )
 
 
-def _srow_a(base: AWFamily, dfam: DerivedFamily, m: int) -> dict:
+def _srow_a(dfam: DerivedFamily, m: int) -> dict:
     """S-image of the first ladder relation at index m, written over the
     slots ("U2D2", m), ("xSD", m), ("P", m), ("SD", m-1..m+1); the relation
     says the slot-weighted sum is identically zero on P[k-1]_m data."""
-    ctx, k = base.ctx, dfam.k
+    base, k = dfam.base, dfam.k
+    ctx = base.ctx
     al = ctx.alpha
     return {
         ("U2D2", m): gamma(ctx, k) * al + alpha_k(ctx, k),
@@ -221,9 +228,9 @@ def _srow_a(base: AWFamily, dfam: DerivedFamily, m: int) -> dict:
     }
 
 
-def _srow_b(base: AWFamily, dfam: DerivedFamily, m: int) -> dict:
+def _srow_b(dfam: DerivedFamily, m: int) -> dict:
     """S-image of the second ladder relation at index m, same slots."""
-    ctx = base.ctx
+    ctx = dfam.base.ctx
     gm = gamma(ctx, m)
     return {
         ("U2D2", m): 1 / gm,
@@ -242,9 +249,7 @@ def _combine(c1: Rational, row1: dict, c2: Rational, row2: dict) -> dict:
     }
 
 
-def chain_coeffs_by_elimination(
-    base: AWFamily, dfam: DerivedFamily, n: int
-) -> ChainCoeffs:
+def chain_coeffs_by_elimination(dfam: DerivedFamily, n: int) -> ChainCoeffs:
     """Independent oracle for chain_coeffs.
 
     Rebuilds the displays by anchored linear elimination on the raw ladder
@@ -252,8 +257,8 @@ def chain_coeffs_by_elimination(
     arithmetic on the family's own recurrence data. Agreement with
     chain_coeffs is asserted by the acceptance suite.
     """
-    ctx, k = base.ctx, dfam.k
-    ra, rb = _srow_a(base, dfam, n), _srow_b(base, dfam, n)
+    ctx = dfam.base.ctx
+    ra, rb = _srow_a(dfam, n), _srow_b(dfam, n)
     if rb[("SD", n - 1)] == 0:
         raise DomainError(
             "derived recurrence coefficient vanishes; elimination impossible"
@@ -267,7 +272,7 @@ def chain_coeffs_by_elimination(
     dn = PolyX((row3[("SD", n)], row3[("xSD", n)]))
     fn_scalar = -row3[("SD", n + 1)]
 
-    ra1, rb1 = _srow_a(base, dfam, n + 1), _srow_b(base, dfam, n + 1)
+    ra1, rb1 = _srow_a(dfam, n + 1), _srow_b(dfam, n + 1)
     c1p = Fraction(-1) / gamma(ctx, n + 2)
     c2p = -c1p * ra1[("SD", n + 2)] / rb1[("SD", n + 2)]
     row4 = _combine(c1p, ra1, c2p, rb1)
@@ -339,7 +344,7 @@ def _extract_proportional(
 
 
 def extract_rn_fg(
-    base: AWFamily, dfam: DerivedFamily, n_range: Iterable[int]
+    dfam: DerivedFamily, n_range: Iterable[int]
 ) -> ExtractionResult:
     """Extract the common (f, g) of eq6 across a range of degrees."""
     ns = sorted(set(n_range))
@@ -347,19 +352,20 @@ def extract_rn_fg(
         raise UsageError("empty extraction range")
     pairs = {}
     for n in ns:
-        cc = chain_coeffs(base, dfam, n)
+        cc = chain_coeffs(dfam, n)
         pairs[n] = (cc.fn, cc.gn)
     return _extract_proportional(pairs)
 
 
 class ChainWorkspace:
-    """The derived ladder and the S images that one chain run reads.
+    """Every family and operator image one chain run reads, by (j, m).
 
-    A residual at order k reads P[k-1], P[k] and P[k+1] and the S images of
-    the first two (see the module docstring). The workspace fetches each
-    order once through derived_family, whose cache key rehashes the whole
-    base, and applies apply_Sq to each ladder member once, keeping the image
-    indexed by (j, m). It belongs to one base family and lives for one run;
+    P(j, m) is the ladder member P[j]_m; S(j, m) its S image, applied once
+    through apply_Sq and kept; D, D2 and SD are read off the ladder without
+    applying D (see the module docstring), with explicit zeros where the
+    index leaves the ladder. Each order is fetched once through
+    derived_family, whose cache key rehashes the whole base. A workspace
+    belongs to one base family and lives for one run;
     run_chain_verification creates it.
     """
 
@@ -373,128 +379,110 @@ class ChainWorkspace:
             self._families[j] = derived_family(self.base, j)
         return self._families[j]
 
+    def P(self, j: int, m: int) -> PolyX:
+        return self.family(j).poly(m)
+
     def S(self, j: int, m: int) -> PolyX:
         key = (j, m)
         if key not in self._S:
-            self._S[key] = apply_Sq(self.base.ctx, self.family(j).poly(m))
+            self._S[key] = apply_Sq(self.base.ctx, self.P(j, m))
         return self._S[key]
 
-
-def _workspace_for(
-    base: AWFamily, workspace: ChainWorkspace | None
-) -> ChainWorkspace:
-    """The caller's workspace, or a throwaway one for a single call."""
-    if workspace is None:
-        return ChainWorkspace(base)
-    if workspace.base is not base:
-        raise UsageError("the workspace belongs to another base family")
-    return workspace
-
-
-@dataclass(frozen=True)
-class _Terms:
-    """What a chain residual at order k reads: P = P[k-1] and its images,
-    taken off the workspace's ladder."""
-
-    base: AWFamily
-    dfam: DerivedFamily
-    ws: ChainWorkspace
-
-    def P(self, m: int) -> PolyX:
-        return self.ws.family(self.dfam.k - 1).poly(m)
-
-    def S(self, m: int) -> PolyX:
-        return self.ws.S(self.dfam.k - 1, m)
-
-    def D(self, m: int) -> PolyX:
+    def D(self, j: int, m: int) -> PolyX:
         if m < 1:
             return PolyX.zero()
-        return gamma(self.base.ctx, m) * self.ws.family(self.dfam.k).poly(m - 1)
+        return gamma(self.base.ctx, m) * self.P(j + 1, m - 1)
 
-    def D2(self, m: int) -> PolyX:
+    def D2(self, j: int, m: int) -> PolyX:
         if m < 2:
             return PolyX.zero()
         ctx = self.base.ctx
-        return gamma(ctx, m) * gamma(ctx, m - 1) \
-            * self.ws.family(self.dfam.k + 1).poly(m - 2)
+        return gamma(ctx, m) * gamma(ctx, m - 1) * self.P(j + 2, m - 2)
 
-    def SD(self, m: int) -> PolyX:
+    def SD(self, j: int, m: int) -> PolyX:
         if m < 1:
             return PolyX.zero()
-        return gamma(self.base.ctx, m) * self.ws.S(self.dfam.k, m - 1)
+        return gamma(self.base.ctx, m) * self.S(j + 1, m - 1)
 
 
-def _eq1a(t: _Terms, n: int) -> PolyX:
-    base, ctx, k = t.base, t.base.ctx, t.dfam.k
+# A residual at order k reads P = P[k-1] and its images; the recurrence
+# data come from the base and from the derived family P[k].
+
+def _eq1a(ws: ChainWorkspace, k: int, n: int) -> PolyX:
+    base, j = ws.base, k - 1
+    ctx = base.ctx
     return (
-        gamma(ctx, k) * t.S(n)
-        + alpha_k(ctx, k) * PolyX.x() * t.D(n)
-        - (gamma(ctx, n + k) / gamma(ctx, n + 1)) * t.D(n + 1)
-        - base.recurrence_B(n + k - 1) * t.D(n)
+        gamma(ctx, k) * ws.S(j, n)
+        + alpha_k(ctx, k) * PolyX.x() * ws.D(j, n)
+        - (gamma(ctx, n + k) / gamma(ctx, n + 1)) * ws.D(j, n + 1)
+        - base.recurrence_B(n + k - 1) * ws.D(j, n)
         - (gamma(ctx, n) / gamma(ctx, n + k - 1))
-        * base.recurrence_C(n + k - 1) * t.D(n - 1)
+        * base.recurrence_C(n + k - 1) * ws.D(j, n - 1)
     )
 
 
-def _eq1b(t: _Terms, n: int) -> PolyX:
-    ctx, dfam = t.base.ctx, t.dfam
+def _eq1b(ws: ChainWorkspace, k: int, n: int) -> PolyX:
+    ctx, dfam, j = ws.base.ctx, ws.family(k), k - 1
     return (
-        (1 / gamma(ctx, n)) * PolyX.x() * t.D(n)
-        - (1 / gamma(ctx, n + 1)) * t.D(n + 1)
-        - (dfam.recurrence_B(n - 1) / gamma(ctx, n)) * t.D(n)
-        - (dfam.recurrence_C(n - 1) / gamma(ctx, n - 1)) * t.D(n - 1)
+        (1 / gamma(ctx, n)) * PolyX.x() * ws.D(j, n)
+        - (1 / gamma(ctx, n + 1)) * ws.D(j, n + 1)
+        - (dfam.recurrence_B(n - 1) / gamma(ctx, n)) * ws.D(j, n)
+        - (dfam.recurrence_C(n - 1) / gamma(ctx, n - 1)) * ws.D(j, n - 1)
     )
 
 
-def _eq3(t: _Terms, n: int) -> PolyX:
-    ctx, dfam = t.base.ctx, t.dfam
-    cc = chain_coeffs(t.base, dfam, n)
+def _eq3(ws: ChainWorkspace, k: int, n: int) -> PolyX:
+    ctx, dfam, j = ws.base.ctx, ws.family(k), k - 1
+    cc = chain_coeffs(dfam, n)
     _, u2 = structural_polys(ctx)
     return (
-        cc.Dn * t.SD(n) + cc.En * u2 * t.D2(n)
-        + (gamma(ctx, dfam.k) / gamma(ctx, n - 1)) * dfam.recurrence_C(n - 1)
-        * t.P(n)
-        - cc.Fn * t.SD(n + 1)
+        cc.Dn * ws.SD(j, n) + cc.En * u2 * ws.D2(j, n)
+        + (gamma(ctx, k) / gamma(ctx, n - 1)) * dfam.recurrence_C(n - 1)
+        * ws.P(j, n)
+        - cc.Fn * ws.SD(j, n + 1)
     )
 
 
-def _eq4(t: _Terms, n: int) -> PolyX:
-    ctx = t.base.ctx
-    cc = chain_coeffs(t.base, t.dfam, n)
+def _eq4(ws: ChainWorkspace, k: int, n: int) -> PolyX:
+    ctx, j = ws.base.ctx, k - 1
+    cc = chain_coeffs(ws.family(k), n)
     _, u2 = structural_polys(ctx)
     return (
-        cc.Dtilde * t.SD(n + 1) - cc.Etilde * u2 * t.D2(n + 1)
-        - (gamma(ctx, t.dfam.k) / gamma(ctx, n + 2)) * t.P(n + 1)
-        - cc.Fnext * t.SD(n)
+        cc.Dtilde * ws.SD(j, n + 1) - cc.Etilde * u2 * ws.D2(j, n + 1)
+        - (gamma(ctx, k) / gamma(ctx, n + 2)) * ws.P(j, n + 1)
+        - cc.Fnext * ws.SD(j, n)
     )
 
 
-def _eq3b(t: _Terms, n: int) -> PolyX:
-    cc = chain_coeffs(t.base, t.dfam, n)
-    return cc.Dn * t.D2(n) + cc.En * t.SD(n) - cc.Fn * t.D2(n + 1)
+def _eq3b(ws: ChainWorkspace, k: int, n: int) -> PolyX:
+    j = k - 1
+    cc = chain_coeffs(ws.family(k), n)
+    return cc.Dn * ws.D2(j, n) + cc.En * ws.SD(j, n) - cc.Fn * ws.D2(j, n + 1)
 
 
-def _eq3a(t: _Terms, n: int) -> PolyX:
-    cc = chain_coeffs(t.base, t.dfam, n)
-    return cc.Dtilde * t.D2(n + 1) - cc.Etilde * t.SD(n + 1) - cc.Fnext * t.D2(n)
+def _eq3a(ws: ChainWorkspace, k: int, n: int) -> PolyX:
+    j = k - 1
+    cc = chain_coeffs(ws.family(k), n)
+    return (cc.Dtilde * ws.D2(j, n + 1) - cc.Etilde * ws.SD(j, n + 1)
+            - cc.Fnext * ws.D2(j, n))
 
 
-def _eq6(t: _Terms, n: int) -> PolyX:
-    ctx, dfam = t.base.ctx, t.dfam
-    cc = chain_coeffs(t.base, dfam, n)
+def _eq6(ws: ChainWorkspace, k: int, n: int) -> PolyX:
+    ctx, dfam, j = ws.base.ctx, ws.family(k), k - 1
+    cc = chain_coeffs(dfam, n)
     return (
-        cc.fn * t.D2(n) + cc.gn * t.SD(n)
-        + cc.Etilde * (gamma(ctx, dfam.k) / gamma(ctx, n - 1))
-        * dfam.recurrence_C(n - 1) * t.P(n)
+        cc.fn * ws.D2(j, n) + cc.gn * ws.SD(j, n)
+        + cc.Etilde * (gamma(ctx, k) / gamma(ctx, n - 1))
+        * dfam.recurrence_C(n - 1) * ws.P(j, n)
     )
 
 
-def _eq7(t: _Terms, n: int) -> PolyX:
-    ctx = t.base.ctx
-    cc = chain_coeffs(t.base, t.dfam, n - 1)
+def _eq7(ws: ChainWorkspace, k: int, n: int) -> PolyX:
+    ctx, j = ws.base.ctx, k - 1
+    cc = chain_coeffs(ws.family(k), n - 1)
     return (
-        cc.fn * t.D2(n) + cc.gn * t.SD(n)
-        + (gamma(ctx, t.dfam.k) / gamma(ctx, n + 1)) * cc.En * t.P(n)
+        cc.fn * ws.D2(j, n) + cc.gn * ws.SD(j, n)
+        + (gamma(ctx, k) / gamma(ctx, n + 1)) * cc.En * ws.P(j, n)
     )
 
 
@@ -508,47 +496,46 @@ CHAIN_EQUATIONS = (*_RESIDUALS, "eq_final")
 
 
 def verify_chain_equation(
-    base: AWFamily,
-    dfam: DerivedFamily,
+    ws: ChainWorkspace,
+    k: int,
     which: str,
     n: int,
     extraction: ExtractionResult | None = None,
-    workspace: ChainWorkspace | None = None,
 ) -> OperatorCheckResult:
-    """Residual check of one chain equation at one degree.
+    """Residual check of one chain equation of the order-k family at one
+    degree, on the images of ws.
 
     The residual is an exact polynomial; passed means it is identically
     zero. eq_final additionally reports the eigenvalue it read off the
-    leading coefficient in the witness field. Operator images come from
-    workspace, or from a throwaway one when it is None.
+    leading coefficient in the witness field.
     """
     if which not in CHAIN_EQUATIONS:
         raise UsageError(f"unknown chain equation {which!r}")
     if which == "eq_final" and extraction is None:
         raise DependencyError("eq_final needs the extracted coefficient pair")
-    t = _Terms(base=base, dfam=dfam, ws=_workspace_for(base, workspace))
     if which == "eq_final":
-        h = extraction.f * t.D2(n) + extraction.g * t.SD(n)
+        j = k - 1
+        h = extraction.f * ws.D2(j, n) + extraction.g * ws.SD(j, n)
         mu = -h.coeff(n)
-        res = h + mu * t.P(n)
+        res = h + mu * ws.P(j, n)
         return OperatorCheckResult(
             name=which, passed=not res, residual=res, witness=mu
         )
-    res = _RESIDUALS[which](t, n)
+    res = _RESIDUALS[which](ws, k, n)
     return OperatorCheckResult(name=which, passed=not res, residual=res)
 
 
-def check_no_common_zeros(ctx: QContext, p: PolyX) -> OperatorCheckResult:
-    """Certify that D p and S p share no zero, via an exact resultant.
+def check_no_common_zeros(dp: PolyX, sp: PolyX) -> OperatorCheckResult:
+    """Certify that the images dp = D p and sp = S p of a polynomial p share
+    no zero, via an exact resultant.
 
-    When D p is a nonzero constant the claim is vacuous and the constant
-    itself is the witness; otherwise the witness is the resultant, and the
-    check passes exactly when it is nonzero.
+    S keeps the degree, so p has degree >= 1 exactly when sp does. When dp
+    is a nonzero constant the claim is vacuous and the constant itself is
+    the witness; otherwise the witness is the resultant, and the check
+    passes exactly when it is nonzero.
     """
-    if not p or p.degree < 1:
-        raise DomainError("need a polynomial of degree >= 1")
-    dp = apply_Dq(ctx, p)
-    sp = apply_Sq(ctx, p)
+    if not sp or sp.degree < 1:
+        raise DomainError("need the images of a polynomial of degree >= 1")
     if dp.degree == 0:
         return OperatorCheckResult(
             name="no_common_zeros", passed=True, witness=dp.coeffs[0]
@@ -578,16 +565,15 @@ class CheckRecord:
         }
 
 
-def check_nonvanishing(
-    base: AWFamily, dfam: DerivedFamily, n: int
-) -> tuple[CheckRecord, ...]:
+def check_nonvanishing(dfam: DerivedFamily, n: int) -> tuple[CheckRecord, ...]:
     """Nonvanishing certificates the chain divides by at degree n.
 
     Needs the chain displays at n-1 and n, so 3 <= n <= chain window - 1.
     """
-    ctx, k = base.ctx, dfam.k
-    cc = chain_coeffs(base, dfam, n)
-    ccp = chain_coeffs(base, dfam, n - 1)
+    base, k = dfam.base, dfam.k
+    ctx = base.ctx
+    cc = chain_coeffs(dfam, n)
+    ccp = chain_coeffs(dfam, n - 1)
     values = (
         ("nonzero_F", cc.Fn),
         ("nonzero_F_next", cc.Fnext),
@@ -613,10 +599,7 @@ class AWMatch:
 
 
 def verify_final_matches_aw(
-    base: AWFamily,
-    dfam: DerivedFamily,
-    extraction: ExtractionResult,
-    workspace: ChainWorkspace | None = None,
+    ws: ChainWorkspace, k: int, extraction: ExtractionResult
 ) -> AWMatch:
     """Match the extracted (f, g) to c * (coefficient form at some sigma).
 
@@ -626,10 +609,10 @@ def verify_final_matches_aw(
     the eigenvalue read off eq_final must equal -c times the
     operator-equation eigenvalue at the recovered parameters, for every
     extracted degree; with the solve above this pins the display formula
-    of eigenvalue() against the operator algebra. The operator images come
-    from workspace, as in verify_chain_equation.
+    of eigenvalue() against the operator algebra. The operator images are
+    those of the order-k chain on ws, as in verify_chain_equation.
     """
-    ctx = base.ctx
+    ctx = ws.base.ctx
     v, q = ctx.v, ctx.q
     f, g = extraction.f, extraction.g
     if f.degree > 2 or g.degree > 1:
@@ -649,9 +632,8 @@ def verify_final_matches_aw(
     faw, gaw = equation_coeffs(ctx, params)
     if c * faw != f or c * gaw != g:
         raise NoRationalMatch("round trip through the coefficient form mismatched")
-    t = _Terms(base=base, dfam=dfam, ws=_workspace_for(base, workspace))
     for n in sorted(extraction.r):
-        h = f * t.D2(n) + g * t.SD(n)
+        h = f * ws.D2(k - 1, n) + g * ws.SD(k - 1, n)
         if -h.coeff(n) != -c * eigenvalue(ctx, params, n):
             raise NoRationalMatch(f"eigenvalue mismatch at degree {n}")
     return AWMatch(params=params, c=c)
@@ -691,12 +673,10 @@ def report_to_dict(report: ProofReport) -> dict:
     }
 
 
-def _verify_one_k(
-    base: AWFamily, k: int, n_max: int, ws: ChainWorkspace
-) -> list[CheckRecord]:
-    ctx = base.ctx
+def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:
+    ctx = ws.base.ctx
     records: list[CheckRecord] = []
-    dfam = derived_family(base, k)
+    dfam = ws.family(k)
     # windows, from dfam.M = N - k: the ladder relations, eq7 and
     # no_common_zeros; the chain displays; the nonvanishing certificates
     hi_ladder = min(dfam.M, n_max)
@@ -708,8 +688,7 @@ def _verify_one_k(
                                    witness=witness))
 
     def run_eq(which: str, n: int, extraction=None) -> OperatorCheckResult:
-        res = verify_chain_equation(base, dfam, which, n,
-                                    extraction=extraction, workspace=ws)
+        res = verify_chain_equation(ws, k, which, n, extraction=extraction)
         add(which, n, res.passed, residual_witness(res))
         return res
 
@@ -728,7 +707,7 @@ def _verify_one_k(
     ext_error = None
     if hi_chain >= 2:
         try:
-            extraction = extract_rn_fg(base, dfam, range(2, hi_chain + 1))
+            extraction = extract_rn_fg(dfam, range(2, hi_chain + 1))
         except ProportionalityFailure as exc:
             ext_error = str(exc)
         if extraction is None:
@@ -745,7 +724,7 @@ def _verify_one_k(
                 add("proportionality", n, True,
                     format_rational(extraction.r[n]))
                 res = run_eq("eq_final", n, extraction=extraction)
-                cc = chain_coeffs(base, dfam, n)
+                cc = chain_coeffs(dfam, n)
                 expected = gk * cc.Etilde * dfam.recurrence_C(n - 1) \
                     / (extraction.r[n] * gamma(ctx, n - 1))
                 mu = res.witness
@@ -754,8 +733,7 @@ def _verify_one_k(
                     format_rational(mu) if ok
                     else f"{format_rational(mu)} != {format_rational(expected)}")
             try:
-                match = verify_final_matches_aw(base, dfam, extraction,
-                                                workspace=ws)
+                match = verify_final_matches_aw(ws, k, extraction)
                 sig = ",".join(format_rational(s) for s in match.params.sigmas)
                 add("aw_form_match", None, True,
                     f"c={format_rational(match.c)};sigmas={sig}")
@@ -763,10 +741,10 @@ def _verify_one_k(
                 add("aw_form_match", None, False, str(exc))
 
     for n in range(3, hi_nonzero + 1):
-        records.extend(check_nonvanishing(base, dfam, n))
+        records.extend(check_nonvanishing(dfam, n))
 
     for n in range(1, hi_ladder + 1):
-        res = check_no_common_zeros(ctx, dfam.polys[n])
+        res = check_no_common_zeros(ws.D(k, n), ws.S(k, n))
         add("no_common_zeros", n, res.passed, format_rational(res.witness))
 
     return records
@@ -806,7 +784,7 @@ def run_chain_verification(
     ws = ChainWorkspace(base)
     records: list[CheckRecord] = []
     for k in ks:
-        records.extend(_verify_one_k(base, k, n_max, ws))
+        records.extend(_verify_one_k(ws, k, n_max))
     records.sort(key=record_sort_key)
     context = {
         "v": format_rational(base.ctx.v),

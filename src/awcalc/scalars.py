@@ -77,13 +77,9 @@ class QContext:
         object.__setattr__(self, "q", self.v * self.v)
         object.__setattr__(self, "alpha", (self.v + 1 / self.v) / 2)
 
-    def vpow(self, n: int) -> Rational:
-        """v^n for any integer n."""
-        return self.v ** n
-
     def qpow(self, n: int) -> Rational:
         """q^n = v^(2n)."""
-        return self.vpow(2 * n)
+        return self.v ** (2 * n)
 
 
 def make_qcontext(v: Rational | int | str) -> QContext:
@@ -109,7 +105,7 @@ def gamma(ctx: QContext, n: int) -> Rational:
     """
     if n == 0:
         return Fraction(0)
-    return (ctx.vpow(n) - ctx.vpow(-n)) / (ctx.v - 1 / ctx.v)
+    return (ctx.v ** n - ctx.v ** -n) / (ctx.v - 1 / ctx.v)
 
 
 @lru_cache(maxsize=None)
@@ -125,4 +121,4 @@ def gamma_factorial(ctx: QContext, n: int) -> Rational:
 @lru_cache(maxsize=None)
 def alpha_k(ctx: QContext, k: int) -> Rational:
     """alpha_k = (v^k + v^-k)/2; even in k, alpha_0 = 1, alpha_1 = ctx.alpha."""
-    return (ctx.vpow(k) + ctx.vpow(-k)) / 2
+    return (ctx.v ** k + ctx.v ** -k) / 2

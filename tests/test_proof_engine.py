@@ -18,6 +18,7 @@ from awcalc import (
     alpha_k,
     apply_Dq,
     apply_Dq_power,
+    apply_Sq,
     build_family,
     chain_coeffs,
     chain_coeffs_by_elimination,
@@ -97,18 +98,12 @@ class TestDerivedFamily:
     def test_bounds(self):
         with pytest.raises(UsageError):
             derived_family(QH8, -1)
-        with pytest.raises(UsageError):
-            derived_family(QH8, 2, M=7)  # only 6 derived degrees exist
-        dfam = derived_family(QH8, 2, M=3)
-        assert dfam.M == 3
-        with pytest.raises(IndexError):
-            dfam.poly(4)
 
 
 class TestChainCoeffs:
     def test_frozen_display_values(self):
         dfam = derived_family(QH8, 1)
-        cc = chain_coeffs(QH8, dfam, 2)
+        cc = chain_coeffs(dfam, 2)
         assert cc.Dn == PolyX((0, Fraction(9, 32)))
         assert cc.En == Fraction(3, 8)
         assert cc.Fn == Fraction(1, 7)
@@ -123,7 +118,7 @@ class TestChainCoeffs:
         # the two orderings differ and only one survives elimination
         ctx = QH8.ctx
         dfam = derived_family(QH8, 1)
-        cc = chain_coeffs(QH8, dfam, 2)
+        cc = chain_coeffs(dfam, 2)
         denom = gamma(ctx, 3) * gamma(ctx, 4)
         assert cc.Dtilde.coeff(1) == alpha_k(ctx, 2) * gamma(ctx, 1) / denom
         assert cc.Dtilde.coeff(1) != alpha_k(ctx, 1) * gamma(ctx, 2) / denom
@@ -134,59 +129,42 @@ class TestChainCoeffs:
             for k in (1, 2, 3):
                 dfam = derived_family(base, k)
                 for n in range(2, min(dfam.M - 1, base.N - 1 - k) + 1):
-                    assert chain_coeffs(base, dfam, n) == chain_coeffs_by_elimination(
-                        base, dfam, n
-                    )
+                    assert chain_coeffs(dfam, n) == chain_coeffs_by_elimination(dfam, n)
 
 
 class TestChainEquations:
     def test_all_nine_hold_for_every_family(self):
         for vtext, sigtext in PARAM_SETS:
             base = cached_family(vtext, sigtext, 8)
+            ws = ChainWorkspace(base)
             for k in (1, 2):
                 dfam = derived_family(base, k)
                 chain_max = min(dfam.M - 1, base.N - 1 - k)
                 for n in range(1, base.N - k + 1):
-                    assert verify_chain_equation(base, dfam, "eq1a", n).passed
+                    assert verify_chain_equation(ws, k, "eq1a", n).passed
                 for n in range(2, base.N - k + 1):
-                    assert verify_chain_equation(base, dfam, "eq1b", n).passed
+                    assert verify_chain_equation(ws, k, "eq1b", n).passed
                 for n in range(2, chain_max + 1):
                     for which in ("eq3", "eq4", "eq3b", "eq3a", "eq6"):
-                        assert verify_chain_equation(base, dfam, which, n).passed
+                        assert verify_chain_equation(ws, k, which, n).passed
                 for n in range(3, chain_max + 2):
-                    assert verify_chain_equation(base, dfam, "eq7", n).passed
+                    assert verify_chain_equation(ws, k, "eq7", n).passed
 
     def test_final_equation_and_eigenvalue(self):
         dfam = derived_family(QH8, 1)
-        extraction = extract_rn_fg(QH8, dfam, range(2, 7))
-        res = verify_chain_equation(QH8, dfam, "eq_final", 2, extraction=extraction)
+        extraction = extract_rn_fg(dfam, range(2, 7))
+        res = verify_chain_equation(ChainWorkspace(QH8), 1, "eq_final", 2,
+                                    extraction=extraction)
         assert res.passed
         assert res.witness == Fraction(40, 3)
 
     def test_eq_final_requires_extraction(self):
-        dfam = derived_family(QH8, 1)
         with pytest.raises(DependencyError):
-            verify_chain_equation(QH8, dfam, "eq_final", 2)
+            verify_chain_equation(ChainWorkspace(QH8), 1, "eq_final", 2)
 
     def test_unknown_equation_rejected(self):
-        dfam = derived_family(QH8, 1)
         with pytest.raises(UsageError):
-            verify_chain_equation(QH8, dfam, "eq2", 3)
-
-    def test_workspace_of_another_base_rejected(self):
-        dfam = derived_family(B8, 1)
-        with pytest.raises(UsageError, match="another base"):
-            verify_chain_equation(B8, dfam, "eq3", 2,
-                                  workspace=ChainWorkspace(QH8))
-
-    def test_workspace_gives_the_same_residuals(self):
-        ws = ChainWorkspace(B8)
-        for k in (1, 2):
-            dfam = derived_family(B8, k)
-            for which in ("eq3", "eq4", "eq6", "eq7"):
-                shared = verify_chain_equation(B8, dfam, which, 3, workspace=ws)
-                alone = verify_chain_equation(B8, dfam, which, 3)
-                assert shared == alone and shared.passed
+            verify_chain_equation(ChainWorkspace(QH8), 1, "eq2", 3)
 
     def test_vocabulary(self):
         assert CHAIN_EQUATIONS == (
@@ -197,7 +175,7 @@ class TestChainEquations:
 class TestExtraction:
     def test_frozen_extraction(self):
         dfam = derived_family(QH8, 1)
-        got = extract_rn_fg(QH8, dfam, range(2, 7))
+        got = extract_rn_fg(dfam, range(2, 7))
         assert got.f == PolyX((1, 0, -2))
         assert got.g == PolyX((0, Fraction(-8, 3)))
         assert got.n0 == 2
@@ -228,13 +206,13 @@ class TestExtraction:
         with pytest.raises(ProportionalityFailure, match="not proportional"):
             _extract_proportional({2: (f0, g0), 3: (f0, 2 * g0)})
         with pytest.raises(UsageError):
-            extract_rn_fg(QH8, derived_family(QH8, 1), [])
+            extract_rn_fg(derived_family(QH8, 1), [])
 
 
 class TestNonvanishing:
     def test_all_seven_pass(self):
         dfam = derived_family(B8, 1)
-        recs = check_nonvanishing(B8, dfam, 3)
+        recs = check_nonvanishing(dfam, 3)
         assert len(recs) == 7
         assert {r.name for r in recs} == {
             "nonzero_F", "nonzero_F_next", "nonzero_E_prev", "nonzero_Etilde",
@@ -245,35 +223,39 @@ class TestNonvanishing:
             assert Fraction(r.witness) != 0
 
 
+def _images(ctx, p):
+    return apply_Dq(ctx, p), apply_Sq(ctx, p)
+
+
 class TestNoCommonZeros:
     def test_resultant_certificate(self):
         ctx = QH8.ctx
         for n in range(2, 7):
-            res = check_no_common_zeros(ctx, QH8.poly(n))
+            res = check_no_common_zeros(*_images(ctx, QH8.poly(n)))
             assert res.passed and res.witness != 0
 
     def test_shared_zero_detected(self):
         # both operator images vanish at x = 5/3 (lattice point of z = 3)
         ctx = make_qcontext(Fraction(1, 2))
         p = PolyX((Fraction(481, 144), Fraction(-25, 6), 1))
-        res = check_no_common_zeros(ctx, p)
+        res = check_no_common_zeros(*_images(ctx, p))
         assert not res.passed and res.witness == 0
 
     def test_degree_one_is_vacuous(self):
         ctx = make_qcontext(Fraction(1, 2))
-        res = check_no_common_zeros(ctx, PolyX((1, 2)))
+        res = check_no_common_zeros(*_images(ctx, PolyX((1, 2))))
         assert res.passed and res.witness == 2
 
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
-            check_no_common_zeros(QH8.ctx, PolyX.one())
+            check_no_common_zeros(*_images(QH8.ctx, PolyX.one()))
 
 
 class TestFinalMatch:
     def test_simplest_family_recovers_itself(self):
         dfam = derived_family(QH8, 1)
-        extraction = extract_rn_fg(QH8, dfam, range(2, 7))
-        match = verify_final_matches_aw(QH8, dfam, extraction)
+        extraction = extract_rn_fg(dfam, range(2, 7))
+        match = verify_final_matches_aw(ChainWorkspace(QH8), 1, extraction)
         assert isinstance(match, AWMatch)
         assert match.c == Fraction(1, 2)
         assert match.params.sigmas == (0, 0, 0, 0)
@@ -281,21 +263,21 @@ class TestFinalMatch:
     def test_recovered_sigmas_shift_with_order(self):
         v = B8.ctx.v
         base_sigmas = B8.params.sigmas
+        ws = ChainWorkspace(B8)
         for k in (1, 2, 3):
             dfam = derived_family(B8, k)
             hi = min(dfam.M - 1, B8.N - 1 - k)
-            extraction = extract_rn_fg(B8, dfam, range(2, hi + 1))
-            match = verify_final_matches_aw(B8, dfam, extraction)
+            extraction = extract_rn_fg(dfam, range(2, hi + 1))
+            match = verify_final_matches_aw(ws, k, extraction)
             expect = tuple(v ** ((k - 1) * j) * s for j, s in enumerate(base_sigmas, 1))
             assert match.params.sigmas == expect
 
     def test_zero_scale_has_no_match(self):
-        dfam = derived_family(QH8, 1)
         fake = ExtractionResult(
             f=PolyX.one(), g=PolyX.zero(), r={2: Fraction(1)}, n0=2
         )
         with pytest.raises(NoRationalMatch, match="scale factor is zero"):
-            verify_final_matches_aw(QH8, dfam, fake)
+            verify_final_matches_aw(ChainWorkspace(QH8), 1, fake)
 
     def test_matching_is_about_form_not_membership(self):
         # the five coefficients of (f, g) always solve back to some (c, sigma)
@@ -303,25 +285,24 @@ class TestFinalMatch:
         # monic inputs; a pair lifted from the wrong family therefore still
         # matches here. What rejects it is eq_final, whose residual is the
         # whole polynomial, not just the top coefficient.
-        dfam = derived_family(B8, 1)
-        honest = extract_rn_fg(B8, dfam, range(2, 7))
+        ws = ChainWorkspace(B8)
+        honest = extract_rn_fg(derived_family(B8, 1), range(2, 7))
         alien = ExtractionResult(
             f=PolyX((1, 0, -2)), g=PolyX((0, Fraction(-8, 3))),
             r=dict(honest.r), n0=honest.n0,
         )
-        match = verify_final_matches_aw(B8, dfam, alien)
+        match = verify_final_matches_aw(ws, 1, alien)
         assert match.c == Fraction(1, 2)
         assert match.params.sigmas == (0, 0, 0, 0)
-        res = verify_chain_equation(B8, dfam, "eq_final", 2, extraction=alien)
+        res = verify_chain_equation(ws, 1, "eq_final", 2, extraction=alien)
         assert not res.passed
 
     def test_degree_overflow_rejected(self):
-        dfam = derived_family(QH8, 1)
         fake = ExtractionResult(
             f=PolyX.monomial(3, Fraction(1)), g=PolyX.zero(), r={2: Fraction(1)}, n0=2
         )
         with pytest.raises(NoRationalMatch, match="quadratic/linear"):
-            verify_final_matches_aw(QH8, dfam, fake)
+            verify_final_matches_aw(ChainWorkspace(QH8), 1, fake)
 
 
 class TestRunChainVerification:
@@ -364,52 +345,38 @@ class TestRunChainVerification:
         assert once.checks == twice.checks
 
 
-def test_each_operator_image_is_computed_once(monkeypatch):
-    # inside the chain equations and the final match, apply_Dq sees each
-    # P[k-1]_m object at most once per run (check_no_common_zeros keeps
-    # its own images, so calls from it are not counted)
-    inputs = []
-    inside = [False]
-
-    def counting(ctx, p, _apply=proof_engine.apply_Dq):
-        if inside[0]:
-            inputs.append(p)
-        return _apply(ctx, p)
-
-    def scoped(fn):
-        def wrapper(*args, **kwargs):
-            inside[0] = True
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                inside[0] = False
-        return wrapper
-
-    monkeypatch.setattr(proof_engine, "apply_Dq", counting)
-    for name in ("verify_chain_equation", "verify_final_matches_aw"):
-        monkeypatch.setattr(proof_engine, name,
-                            scoped(getattr(proof_engine, name)))
-    assert run_chain_verification(B8, [1, 2, 3], 5).all_passed
-    for k in (1, 2, 3):
-        for m, p in enumerate(derived_family(B8, k - 1).polys):
-            assert sum(q is p for q in inputs) <= 1, (k, m)
-
-
-def test_operator_applications_of_a_run(monkeypatch):
-    # one D per derived polynomial: P[1]..P[4] of B8 take 8 + 7 + 6 + 5;
-    # check_no_common_zeros applies D and S to P[k]_1..P[k]_5 for k = 1, 2, 3;
-    # the other 19 S images are the workspace's, one per ladder member read
-    calls = {"apply_Dq": 0, "apply_Sq": 0}
-    for name in calls:
-        def counting(ctx, p, _apply=getattr(qoperators, name), _name=name):
-            calls[_name] += 1
+def _operator_inputs_of_a_run(monkeypatch):
+    # both modules' apply_Dq and apply_Sq patched, caches cleared: every
+    # operator input of run_chain_verification(B8, [1, 2, 3], 5), in order
+    inputs = {"apply_Dq": [], "apply_Sq": []}
+    for name, seen in inputs.items():
+        def recording(ctx, p, _apply=getattr(qoperators, name), _seen=seen):
+            _seen.append(p)
             return _apply(ctx, p)
-        monkeypatch.setattr(qoperators, name, counting)
-        monkeypatch.setattr(proof_engine, name, counting)
+        monkeypatch.setattr(qoperators, name, recording)
+        monkeypatch.setattr(proof_engine, name, recording)
     proof_engine.derived_family.cache_clear()
     proof_engine.chain_coeffs.cache_clear()
     assert run_chain_verification(B8, [1, 2, 3], 5).all_passed
-    assert calls == {"apply_Dq": 41, "apply_Sq": 34}
+    return inputs
+
+
+def test_each_operator_image_is_computed_once(monkeypatch):
+    # no polynomial object reaches either operator twice in a whole run;
+    # compared by identity, since distinct ladder members can be equal
+    # polynomials (P[j]_0 = 1 at every order j)
+    for name, seen in _operator_inputs_of_a_run(monkeypatch).items():
+        assert len({id(p) for p in seen}) == len(seen), name
+
+
+def test_operator_applications_of_a_run(monkeypatch):
+    # one D per derived polynomial: P[1]..P[4] of B8 take 8 + 7 + 6 + 5, and
+    # every other D image, no_common_zeros' included, is a ladder read;
+    # one S per ladder member read, P[j]_1..P[j]_5 for j = 0..3
+    inputs = _operator_inputs_of_a_run(monkeypatch)
+    assert {name: len(seen) for name, seen in inputs.items()} == {
+        "apply_Dq": 26, "apply_Sq": 20,
+    }
 
 
 def test_check_record_is_plain_data():

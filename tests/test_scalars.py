@@ -62,10 +62,8 @@ class TestQContext:
         with pytest.raises(DomainError):
             make_qcontext(bad)
 
-    def test_vpow_and_qpow(self):
+    def test_qpow(self):
         ctx = make_qcontext(Fraction(1, 2))
-        assert ctx.vpow(3) == Fraction(1, 8)
-        assert ctx.vpow(-3) == Fraction(8)
         assert ctx.qpow(2) == Fraction(1, 16)
 
     def test_no_exponent_cap(self):
