@@ -16,8 +16,10 @@ The operator L[y] = f D^2 y + g SD y maps x^n to a polynomial of degree n
 whose leading coefficient is lambda_n, so L is triangular on monomials and
 L[y] = lambda_n y has a unique monic degree-n polynomial solution whenever
 lambda_n differs from lambda_0, ..., lambda_(n-1). solve_operator_equation
-finds it by exact back-substitution and refuses to hand back anything it
-cannot recheck to a zero residual.
+computes the image table L[x^0], ..., L[x^N] once per family and finds
+every p_n by exact back-substitution on it. It refuses to hand back a p_n
+that does not recheck to a zero residual, and the recheck applies D and S
+to p_n itself, never to a combination of the shared images.
 
 lambda_n - lambda_m factors as a nonzero multiple of
 (q^n - q^m)(q^(-n-m) - sigma4 q^(-1)), so collisions happen exactly when
@@ -134,32 +136,42 @@ def _apply_L(ctx: QContext, f: PolyX, g: PolyX, y: PolyX) -> PolyX:
     return f * apply_Dq(ctx, dy) + g * apply_Sq(ctx, dy)
 
 
-def solve_operator_equation(ctx: QContext, params: AWParams, n: int) -> PolyX:
-    """Unique monic degree-n solution of L[y] = lambda_n y.
+def _monomial_images(ctx: QContext, f: PolyX, g: PolyX, N: int) -> list[PolyX]:
+    return [_apply_L(ctx, f, g, PolyX.monomial(m)) for m in range(N + 1)]
 
-    Back-substitution down the triangular coefficient matrix; raises
-    EigenvalueCollision if lambda_n meets a lower diagonal entry, and
-    InternalError if the rechecked residual is not exactly zero.
+
+def solve_operator_equation(ctx: QContext, params: AWParams,
+                            N: int) -> tuple[PolyX, ...]:
+    """Monic solutions p_0..p_N of L[y] = lambda_n y, p_n of degree n.
+
+    L[x^m] is computed once for m = 0..N, and each p_n comes from
+    back-substitution down that one triangular coefficient matrix. Per
+    degree, raises EigenvalueCollision if lambda_n meets a lower diagonal
+    entry, and InternalError if L[p_n] - lambda_n p_n, recomputed by
+    applying the operators to p_n itself, is not exactly zero.
     """
-    if n < 0:
-        raise UsageError(f"degree must be >= 0, got {n}")
+    if N < 0:
+        raise UsageError(f"degree must be >= 0, got {N}")
     f, g = equation_coeffs(ctx, params)
-    images = [_apply_L(ctx, f, g, PolyX.monomial(m)) for m in range(n + 1)]
-    lam = eigenvalue(ctx, params, n)
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    for m in reversed(range(n)):
-        rhs = sum((images[j].coeff(m) * coeffs[j] for j in range(m + 1, n + 1)),
-                  Fraction(0))
-        denom = lam - images[m].coeff(m)
-        if denom == 0:
-            raise EigenvalueCollision(
-                f"lambda_{n} equals the diagonal entry at degree {m}"
-            )
-        coeffs[m] = rhs / denom
-    y = PolyX(tuple(coeffs))
-    if _apply_L(ctx, f, g, y) - lam * y:
-        raise InternalError("solved polynomial fails the equation recheck")
-    return y
+    images = _monomial_images(ctx, f, g, N)
+    polys: list[PolyX] = []
+    for n in range(N + 1):
+        lam = eigenvalue(ctx, params, n)
+        coeffs = [Fraction(0)] * n + [Fraction(1)]
+        for m in reversed(range(n)):
+            rhs = sum((images[j].coeff(m) * coeffs[j] for j in range(m + 1, n + 1)),
+                      Fraction(0))
+            denom = lam - images[m].coeff(m)
+            if denom == 0:
+                raise EigenvalueCollision(
+                    f"lambda_{n} equals the diagonal entry at degree {m}"
+                )
+            coeffs[m] = rhs / denom
+        y = PolyX(tuple(coeffs))
+        if _apply_L(ctx, f, g, y) - lam * y:
+            raise InternalError("solved polynomial fails the equation recheck")
+        polys.append(y)
+    return tuple(polys)
 
 
 def three_term_data(polys: tuple[PolyX, ...]) -> tuple[tuple, tuple]:
@@ -233,7 +245,7 @@ def build_family(ctx: QContext, params: AWParams, N: int) -> AWFamily:
     if N < 0:
         raise UsageError(f"family size must be >= 0, got {N}")
     _reject_degenerate(ctx, params, N)
-    polys = tuple(solve_operator_equation(ctx, params, n) for n in range(N + 1))
+    polys = solve_operator_equation(ctx, params, N)
     bs, cs = three_term_data(polys)
     return AWFamily(ctx=ctx, params=params, N=N, polys=polys, B=bs, C=cs)
 

@@ -10,7 +10,8 @@ Three subcommands:
                       freshly built family or on a family file
 
 Exit codes: 0 when every check passed, 1 when at least one verification
-failed, 2 for malformed input, inadmissible parameters or a run that would
+failed, 2 for malformed input, inadmissible parameters, a family file that
+cannot be read, an --out path that cannot be written or a run that would
 check nothing. All output is byte-deterministic for fixed arguments.
 """
 
@@ -53,9 +54,13 @@ _NEGATIVE_RE = re.compile(r"-\d")
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    # argparse prints an ArgumentTypeError's own message after the flag name
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 0:
-        raise UsageError(f"must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -140,8 +145,8 @@ def _run_chain(args) -> tuple[ProofReport, bool]:
                 "--qsqrt/--params/--sigmas"
             )
         try:
-            data = json.loads(Path(args.family).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            data = json.loads(Path(args.family).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read family file: {exc}") from exc
         base = family_from_dict(data)
     else:
@@ -250,7 +255,11 @@ def main(argv=None) -> int:
         return 1
     text = _render(payload, args.format)
     if args.out is not None:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write output file: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if all_passed else 1

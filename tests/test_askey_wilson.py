@@ -7,11 +7,13 @@ import pytest
 from awcalc import (
     DegenerateParams,
     EigenvalueCollision,
+    InternalError,
     OrthogonalityBroken,
     PolyX,
     UsageError,
     apply_Dq,
     apply_Sq,
+    build_family,
     eigenvalue,
     equation_coeffs,
     family_from_dict,
@@ -23,8 +25,9 @@ from awcalc import (
     solve_operator_equation,
     three_term_data,
 )
+from awcalc import askey_wilson
 from awcalc.askey_wilson import _reject_degenerate
-from helpers import PARAM_SETS, cached_family
+from helpers import PARAM_SETS, SET_B, cached_family
 
 HALF = make_qcontext(Fraction(1, 2))
 QH = params_from_sigmas(0, 0, 0, 0)
@@ -76,14 +79,16 @@ class TestEquationData:
 
 class TestSolve:
     def test_known_low_degrees(self):
-        assert solve_operator_equation(HALF, QH, 0) == PolyX.one()
-        assert solve_operator_equation(HALF, QH, 1) == PolyX.x()
-        assert solve_operator_equation(HALF, QH, 2) == PolyX((Fraction(-3, 16), 0, 1))
-        assert solve_operator_equation(HALF, QH, 3) == PolyX((0, Fraction(-27, 64), 0, 1))
+        assert solve_operator_equation(HALF, QH, 3) == (
+            PolyX.one(),
+            PolyX.x(),
+            PolyX((Fraction(-3, 16), 0, 1)),
+            PolyX((0, Fraction(-27, 64), 0, 1)),
+        )
 
     def test_solution_satisfies_the_equation(self):
         f, g = equation_coeffs(HALF, QH)
-        p = solve_operator_equation(HALF, QH, 4)
+        p = solve_operator_equation(HALF, QH, 4)[4]
         lhs = f * apply_Dq(HALF, apply_Dq(HALF, p)) + g * apply_Sq(HALF, apply_Dq(HALF, p))
         assert lhs == eigenvalue(HALF, QH, 4) * p
 
@@ -91,6 +96,39 @@ class TestSolve:
         bad = params_from_sigmas(0, 0, 0, 4)  # sigma4 hits 1/q
         with pytest.raises(EigenvalueCollision):
             solve_operator_equation(HALF, bad, 2)
+
+    def test_collision_names_the_first_degree(self):
+        # the whole table up to N = 5 exists, but degree 2 still raises first
+        bad = params_from_sigmas(0, 0, 0, 4)
+        with pytest.raises(EigenvalueCollision,
+                           match=r"^lambda_2 equals the diagonal entry at degree 0$"):
+            solve_operator_equation(HALF, bad, 5)
+
+    def test_each_monomial_image_is_built_once(self, monkeypatch):
+        # 9 monomial images and 9 rechecks of p_n, each 2 D and 1 S
+        inputs = {"apply_Dq": [], "apply_Sq": []}
+        for name, seen in inputs.items():
+            def recording(ctx, p, _apply=getattr(askey_wilson, name), _seen=seen):
+                _seen.append(p)
+                return _apply(ctx, p)
+            monkeypatch.setattr(askey_wilson, name, recording)
+        fam = cached_family.__wrapped__(*SET_B, 8)  # a fresh build, not the cached one
+        assert {name: len(seen) for name, seen in inputs.items()} == {
+            "apply_Dq": 36, "apply_Sq": 18,
+        }
+        # the recheck applies D to every p_n itself
+        assert all(any(q is p for q in inputs["apply_Dq"]) for p in fam.polys)
+
+    def test_corrupt_shared_image_fails_the_recheck(self, monkeypatch):
+        def corrupted(ctx, f, g, N):
+            images = real(ctx, f, g, N)
+            images[3] = images[3] + PolyX.x()  # off the diagonal
+            return images
+
+        real = askey_wilson._monomial_images
+        monkeypatch.setattr(askey_wilson, "_monomial_images", corrupted)
+        with pytest.raises(InternalError, match="equation recheck"):
+            build_family(HALF, QH, 5)
 
 
 class TestBuildFamily:

@@ -1,14 +1,19 @@
 """Command-line interface: wire formats, determinism, exit codes."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from awcalc import build_family, family_to_dict, make_qcontext, params_from_sigmas
 from awcalc.cli import main
 from fractions import Fraction
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv, capsys):
@@ -46,10 +51,11 @@ class TestVerifyIdentities:
         assert code == 2 and out == "" and err != ""
 
     def test_negative_trials_rejected(self, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             ["verify-identities", "--qsqrt", "1/2", "--trials", "-1"], capsys
         )
         assert code == 2
+        assert "argument --trials: must be >= 0, got -1" in err
 
 
 class TestBuildFamily:
@@ -102,11 +108,17 @@ class TestBuildFamily:
             ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0"],
             ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,4"],  # degenerate
             ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0", "--nmax", "-1"],
+            ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0", "--nmax", "1",
+             "--out", "/nonexistent/dir/fam.json"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and err != ""
+        if "-1" in argv:
+            assert "argument --nmax: must be >= 0, got -1" in err
+        if "--out" in argv:
+            assert out == "" and err.startswith("error: cannot write output file: ")
 
 
 class TestVerifyChain:
@@ -257,9 +269,10 @@ class TestVerifyChain:
 
     def test_malformed_family_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _, err = run(["verify-chain", "--family", str(bad)], capsys)
-        assert code == 2 and "cannot read family file" in err
+        for content in (b"{not json", b"\xff\xfe{"):  # not JSON; not UTF-8
+            bad.write_bytes(content)
+            code, _, err = run(["verify-chain", "--family", str(bad)], capsys)
+            assert code == 2 and err.startswith("error: cannot read family file: ")
 
 
 class TestParser:
@@ -271,6 +284,34 @@ class TestParser:
 
     def test_no_arguments(self, capsys):
         assert run([], capsys)[0] == 2
+
+    def test_non_integer_count_names_the_flag(self, capsys):
+        code, _, err = run(["build-family", "--qsqrt", "1/2", "--nmax", "2.5"], capsys)
+        assert code == 2 and "argument --nmax: expected an integer, got '2.5'" in err
+
+
+# sha256 of stdout, recorded before the operator equation shared its
+# monomial images across degrees; any change to the output bytes shows here
+GOLDEN_OUTPUTS = [
+    (["build-family", "--qsqrt", "1/2", "--sigmas=11/30,-2/15,-1/30,0",
+      "--nmax", "12"],
+     "00ccf731c79b2b9b68573814620fa462693352cb79fbad32f46adcc0f720e2cd"),
+    (["verify-chain", "--qsqrt", "1/3", "--sigmas=-3/2,2,1/4,-1", "--nmax", "7",
+      "--k", "1,2,3"],
+     "ab932b7aa8de9b9f0623d53a5a14b5452a58c8c7334892c2f45d1603e92e06a0"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_OUTPUTS,
+                         ids=[argv[0] for argv, _ in GOLDEN_OUTPUTS])
+def test_output_bytes_are_pinned(argv, digest):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "awcalc", *argv],
+                          capture_output=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
 
 
 def test_module_entrypoint_is_byte_deterministic(tmp_path):
