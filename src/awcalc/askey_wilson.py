@@ -48,13 +48,14 @@ from .errors import (
 )
 from .qoperators import apply_Dq, apply_Sq
 from .qpoly import PolyX
-from .scalars import QContext, Rational, format_rational, make_qcontext, parse_rational
-
-
-def _rat(value) -> Rational:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise UsageError(f"expected a rational parameter, got {value!r}")
+from .scalars import (
+    QContext,
+    Rational,
+    as_rational,
+    format_rational,
+    make_qcontext,
+    parse_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -73,28 +74,16 @@ class AWParams:
 
 
 def params_from_sigmas(s1, s2, s3, s4) -> AWParams:
-    return AWParams(_rat(s1), _rat(s2), _rat(s3), _rat(s4))
+    return AWParams(*(as_rational(s) for s in (s1, s2, s3, s4)))
 
 
 def params_from_roots(a, b, c, d) -> AWParams:
-    a, b, c, d = _rat(a), _rat(b), _rat(c), _rat(d)
+    a, b, c, d = (as_rational(r) for r in (a, b, c, d))
     s1 = a + b + c + d
     s2 = a * b + a * c + a * d + b * c + b * d + c * d
     s3 = a * b * c + a * b * d + a * c * d + b * c * d
     s4 = a * b * c * d
     return AWParams(s1, s2, s3, s4)
-
-
-def make_params(roots=None, sigmas=None) -> AWParams:
-    """Exactly one of roots / sigmas, each a 4-sequence."""
-    if (roots is None) == (sigmas is None):
-        raise UsageError("give exactly one of roots= or sigmas=")
-    values = roots if roots is not None else sigmas
-    if len(values) != 4:
-        raise UsageError(f"need exactly 4 values, got {len(values)}")
-    if roots is not None:
-        return params_from_roots(*values)
-    return params_from_sigmas(*values)
 
 
 def equation_coeffs(ctx: QContext, params: AWParams) -> tuple[PolyX, PolyX]:

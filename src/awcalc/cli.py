@@ -18,7 +18,9 @@ check nothing. All output is byte-deterministic for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import random
 import re
 import sys
@@ -28,7 +30,8 @@ from .askey_wilson import (
     build_family,
     family_from_dict,
     family_to_dict,
-    make_params,
+    params_from_roots,
+    params_from_sigmas,
 )
 from .errors import AWCalcError, DomainError, UsageError
 from .proof_engine import (
@@ -93,11 +96,26 @@ def _params_from_args(args) -> object:
     if (args.params is None) == (args.sigmas is None):
         raise UsageError("give exactly one of --params or --sigmas")
     if args.params is not None:
-        return make_params(roots=_parse_four(args.params))
-    return make_params(sigmas=_parse_four(args.sigmas))
+        return params_from_roots(*_parse_four(args.params))
+    return params_from_sigmas(*_parse_four(args.sigmas))
 
 
-def _run_identities(args) -> tuple[ProofReport, bool]:
+def _check_out(path: str) -> None:
+    """Raise the OSError that writing the output to path would raise, for
+    a missing parent directory or a directory target, before any work."""
+    target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not target.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write output file: {exc}", file=sys.stderr)
+    return 2
+
+
+def _run_identities(args) -> tuple[str, bool]:
     if args.trials == 0:
         raise UsageError("--trials 0 runs no checks; need at least 1")
     ctx = make_qcontext(parse_rational(args.qsqrt))
@@ -126,17 +144,17 @@ def _run_identities(args) -> tuple[ProofReport, bool]:
         "max_degree": MAX_TRIAL_DEGREE,
     }
     report = ProofReport(context=context, checks=tuple(records))
-    return report, report.all_passed
+    return _render(report, args.format), report.all_passed
 
 
-def _run_build(args) -> tuple[dict, bool]:
+def _run_build(args) -> tuple[str, bool]:
     ctx = make_qcontext(parse_rational(args.qsqrt))
     params = _params_from_args(args)
     family = build_family(ctx, params, args.nmax)
-    return family_to_dict(family), True
+    return json.dumps(family_to_dict(family), indent=2) + "\n", True
 
 
-def _run_chain(args) -> tuple[ProofReport, bool]:
+def _run_chain(args) -> tuple[str, bool]:
     ks = _parse_klist(args.k)
     if args.family is not None:
         if args.qsqrt or args.params or args.sigmas:
@@ -158,23 +176,20 @@ def _run_chain(args) -> tuple[ProofReport, bool]:
         chain_orders(ks, N, args.nmax)
         base = build_family(ctx, params, N)
     report = run_chain_verification(base, ks, args.nmax)
-    return report, report.all_passed
+    return _render(report, args.format), report.all_passed
 
 
-def _render(payload, fmt: str) -> str:
-    if isinstance(payload, dict):
-        # a family; there is no text form, the JSON is the interface
-        return json.dumps(payload, indent=2) + "\n"
+def _render(report: ProofReport, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report_to_dict(payload), indent=2) + "\n"
-    lines = [f"# {json.dumps(payload.context)}"]
-    for rec in payload.checks:
+        return json.dumps(report_to_dict(report), indent=2) + "\n"
+    lines = [f"# {json.dumps(report.context)}"]
+    for rec in report.checks:
         kpart = f" k={rec.k}" if rec.k is not None else ""
         npart = f" n={rec.n}" if rec.n is not None else ""
         status = "PASS" if rec.passed else "FAIL"
         lines.append(f"{rec.name}{kpart}{npart}: {status} [{rec.witness}]")
-    good = sum(1 for rec in payload.checks if rec.passed)
-    lines.append(f"{good}/{len(payload.checks)} checks passed")
+    good = sum(1 for rec in report.checks if rec.passed)
+    lines.append(f"{good}/{len(report.checks)} checks passed")
     return "\n".join(lines) + "\n"
 
 
@@ -184,12 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact operator calculus on the q-quadratic lattice",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "text"), default="json",
-                       help="output format (default json)")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write output to PATH instead of stdout")
 
     pi = sub.add_parser(
         "verify-identities",
@@ -201,7 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="number of random polynomial pairs (default 20)")
     pi.add_argument("--seed", type=_nonneg_int, default=0,
                     help="RNG seed (default 0)")
-    add_common(pi)
 
     pb = sub.add_parser(
         "build-family",
@@ -214,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="four elementary symmetric functions")
     pb.add_argument("--nmax", type=_nonneg_int, default=8,
                     help="largest degree to build (default 8)")
-    add_common(pb)
 
     pc = sub.add_parser(
         "verify-chain",
@@ -229,7 +236,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="largest degree to verify (default 8)")
     pc.add_argument("--k", default="1", metavar="LIST",
                     help="comma-separated derivation orders (default 1)")
-    add_common(pc)
+    # a family has no text form, so build-family takes no --format
+    for p in (pi, pc):
+        p.add_argument("--format", choices=("json", "text"), default="json",
+                       help="report format (default json)")
+    for p in (pi, pb, pc):
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write output to PATH instead of stdout")
     return parser
 
 
@@ -245,21 +258,24 @@ def main(argv=None) -> int:
         "build-family": _run_build,
         "verify-chain": _run_chain,
     }[args.command]
+    if args.out is not None:
+        try:
+            _check_out(args.out)
+        except OSError as exc:
+            return _cannot_write(exc)
     try:
-        payload, all_passed = runner(args)
+        text, all_passed = runner(args)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AWCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = _render(payload, args.format)
     if args.out is not None:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
-            print(f"error: cannot write output file: {exc}", file=sys.stderr)
-            return 2
+            return _cannot_write(exc)
     else:
         sys.stdout.write(text)
     return 0 if all_passed else 1

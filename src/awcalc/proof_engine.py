@@ -47,12 +47,12 @@ and the S image of each ladder member, applied once, and serves every P,
 S, D, D^2 and SD image by (order, index). run_chain_verification creates
 one per run; verify_chain_equation and verify_final_matches_aw require it.
 
-chain_coeffs gives the closed-form displays. chain_coeffs_by_elimination
-re-derives every one of them by brute-force anchored elimination on the
-ladder rows, without the closed forms; the two must agree exactly, and the
-test suite insists on it. Note the x slot of Dtilde_n is
-alpha_n * gamma_k / gamma_(n+1) (indices in that order); the elimination
-pins it and the eq4 residual breaks within two degrees if it is swapped.
+chain_coeffs gives the closed-form displays. The test suite re-derives
+every one of them by anchored elimination on the ladder rows, without the
+closed forms (tests/helpers.py); the two must agree exactly. Note the x
+slot of Dtilde_n is alpha_n * gamma_k / (gamma_(n+1) gamma_(n+2)) (indices
+in that order); the elimination pins it and the eq4 residual breaks within
+two degrees if it is swapped.
 
 verify_final_matches_aw closes the loop: the extracted (f, g) pair is
 matched, by an exact linear solve, to the four-parameter coefficient form
@@ -63,7 +63,6 @@ derived family together with the overall scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -151,7 +150,6 @@ class ChainCoeffs:
     """Coefficient displays of eq3/eq4 (and their eq3b/eq3a twins) at one
     degree n, plus the composites f_n, g_n entering eq6/eq7."""
 
-    n: int
     Dn: PolyX
     En: Rational
     Fn: Rational
@@ -191,9 +189,9 @@ def chain_coeffs(dfam: DerivedFamily, n: int) -> ChainCoeffs:
         - cnk1 / gamma(ctx, n + k - 1)
     fn_scalar = _coeff_F(dfam, n)
     fnext = _coeff_F(dfam, n + 1)
-    # x slot is alpha_n * gamma_k, not alpha_k * gamma_n; the anchored
-    # elimination in chain_coeffs_by_elimination pins this order, and eq4
-    # fails with an x^3 residual under the swap.
+    # x slot is alpha_n * gamma_k, not alpha_k * gamma_n; the elimination
+    # oracle of the test suite pins this order, and eq4 fails with an x^3
+    # residual under the swap.
     dt1 = alpha_k(ctx, n) * gamma(ctx, k) / (gamma(ctx, n + 1) * gamma(ctx, n + 2))
     dt0 = (
         base.recurrence_B(n + k)
@@ -205,88 +203,7 @@ def chain_coeffs(dfam: DerivedFamily, n: int) -> ChainCoeffs:
     fn = en * etilde * u2 - dn * dtilde + PolyX.constant(fn_scalar * fnext)
     gn = etilde * dn - en * dtilde
     return ChainCoeffs(
-        n=n, Dn=dn, En=en, Fn=fn_scalar, Fnext=fnext,
-        Dtilde=dtilde, Etilde=etilde, fn=fn, gn=gn,
-    )
-
-
-def _srow_a(dfam: DerivedFamily, m: int) -> dict:
-    """S-image of the first ladder relation at index m, written over the
-    slots ("U2D2", m), ("xSD", m), ("P", m), ("SD", m-1..m+1); the relation
-    says the slot-weighted sum is identically zero on P[k-1]_m data."""
-    base, k = dfam.base, dfam.k
-    ctx = base.ctx
-    al = ctx.alpha
-    return {
-        ("U2D2", m): gamma(ctx, k) * al + alpha_k(ctx, k),
-        ("xSD", m): gamma(ctx, k) * (al * al - 1) + alpha_k(ctx, k) * al,
-        ("P", m): gamma(ctx, k),
-        ("SD", m + 1): -gamma(ctx, m + k) / gamma(ctx, m + 1),
-        ("SD", m): -base.recurrence_B(m + k - 1),
-        ("SD", m - 1): -gamma(ctx, m) * base.recurrence_C(m + k - 1)
-        / gamma(ctx, m + k - 1),
-    }
-
-
-def _srow_b(dfam: DerivedFamily, m: int) -> dict:
-    """S-image of the second ladder relation at index m, same slots."""
-    ctx = dfam.base.ctx
-    gm = gamma(ctx, m)
-    return {
-        ("U2D2", m): 1 / gm,
-        ("xSD", m): ctx.alpha / gm,
-        ("SD", m + 1): -1 / gamma(ctx, m + 1),
-        ("SD", m): -dfam.recurrence_B(m - 1) / gm,
-        ("SD", m - 1): -dfam.recurrence_C(m - 1) / gamma(ctx, m - 1),
-    }
-
-
-def _combine(c1: Rational, row1: dict, c2: Rational, row2: dict) -> dict:
-    keys = set(row1) | set(row2)
-    return {
-        key: c1 * row1.get(key, Fraction(0)) + c2 * row2.get(key, Fraction(0))
-        for key in keys
-    }
-
-
-def chain_coeffs_by_elimination(dfam: DerivedFamily, n: int) -> ChainCoeffs:
-    """Independent oracle for chain_coeffs.
-
-    Rebuilds the displays by anchored linear elimination on the raw ladder
-    rows: no gamma/alpha product identities, no closed forms, just row
-    arithmetic on the family's own recurrence data. Agreement with
-    chain_coeffs is asserted by the acceptance suite.
-    """
-    ctx = dfam.base.ctx
-    ra, rb = _srow_a(dfam, n), _srow_b(dfam, n)
-    if rb[("SD", n - 1)] == 0:
-        raise DomainError(
-            "derived recurrence coefficient vanishes; elimination impossible"
-        )
-    c1 = dfam.recurrence_C(n - 1) / gamma(ctx, n - 1)
-    c2 = -c1 * ra[("SD", n - 1)] / rb[("SD", n - 1)]
-    row3 = _combine(c1, ra, c2, rb)
-    if row3[("SD", n - 1)] != 0:
-        raise InternalError("low-slot elimination left a remainder")
-    en = row3[("U2D2", n)]
-    dn = PolyX((row3[("SD", n)], row3[("xSD", n)]))
-    fn_scalar = -row3[("SD", n + 1)]
-
-    ra1, rb1 = _srow_a(dfam, n + 1), _srow_b(dfam, n + 1)
-    c1p = Fraction(-1) / gamma(ctx, n + 2)
-    c2p = -c1p * ra1[("SD", n + 2)] / rb1[("SD", n + 2)]
-    row4 = _combine(c1p, ra1, c2p, rb1)
-    if row4[("SD", n + 2)] != 0:
-        raise InternalError("high-slot elimination left a remainder")
-    dtilde = PolyX((row4[("SD", n + 1)], row4[("xSD", n + 1)]))
-    etilde = -row4[("U2D2", n + 1)]
-    fnext = -row4[("SD", n)]
-
-    _, u2 = structural_polys(ctx)
-    fn = en * etilde * u2 - dn * dtilde + PolyX.constant(fn_scalar * fnext)
-    gn = etilde * dn - en * dtilde
-    return ChainCoeffs(
-        n=n, Dn=dn, En=en, Fn=fn_scalar, Fnext=fnext,
+        Dn=dn, En=en, Fn=fn_scalar, Fnext=fnext,
         Dtilde=dtilde, Etilde=etilde, fn=fn, gn=gn,
     )
 
@@ -299,7 +216,6 @@ class ExtractionResult:
     f: PolyX
     g: PolyX
     r: dict[int, Rational]
-    n0: int
 
 
 def _extract_proportional(
@@ -340,7 +256,7 @@ def _extract_proportional(
                 f"pair at n={n} is not proportional to the pair at n={n0}"
             )
         r[n] = rn
-    return ExtractionResult(f=f, g=g, r=r, n0=n0)
+    return ExtractionResult(f=f, g=g, r=r)
 
 
 def extract_rn_fg(

@@ -25,20 +25,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, InternalError, UsageError
-from .scalars import Rational, format_rational, parse_rational
+from .scalars import Rational, as_rational, format_rational, parse_rational
 
 _NEG_INF = float("-inf")
-
-
-def _as_rational(value) -> Rational:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise UsageError(f"expected a rational coefficient, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,11 +38,9 @@ class PolyX:
     """Polynomial in x over Q, coefficients constant-first, trailing zeros
     trimmed so equal polynomials compare equal.
 
-    >>> p = PolyX.from_coeffs([1, 0, -2])    # 1 - 2x^2
+    >>> p = PolyX((1, 0, -2))    # 1 - 2x^2
     >>> p.degree
     2
-    >>> p(Fraction(1, 2))
-    Fraction(1, 2)
     >>> (p * PolyX.x()).coeffs
     (Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(-2, 1))
     """
@@ -58,14 +48,10 @@ class PolyX:
     coeffs: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(_as_rational(c) for c in self.coeffs)
+        cs = tuple(as_rational(c) for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable) -> "PolyX":
-        return cls(tuple(coeffs))
 
     @classmethod
     def zero(cls) -> "PolyX":
@@ -81,14 +67,14 @@ class PolyX:
 
     @classmethod
     def constant(cls, c) -> "PolyX":
-        return cls((_as_rational(c),))
+        return cls((as_rational(c),))
 
     @classmethod
     def monomial(cls, n: int, c=1) -> "PolyX":
         """c * x^n."""
         if n < 0:
             raise UsageError(f"monomial degree must be >= 0, got {n}")
-        return cls((Fraction(0),) * n + (_as_rational(c),))
+        return cls((Fraction(0),) * n + (as_rational(c),))
 
     @property
     def degree(self):
@@ -139,14 +125,14 @@ class PolyX:
                     out[i + j] += a * b
             return PolyX(tuple(out))
         if isinstance(other, (int, Fraction)):
-            c = _as_rational(other)
+            c = as_rational(other)
             return PolyX(tuple(c * a for a in self.coeffs))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        c = _as_rational(scalar)
+        c = as_rational(scalar)
         if c == 0:
             raise DomainError("division of a polynomial by zero")
         return self * (Fraction(1) / c)
@@ -158,12 +144,6 @@ class PolyX:
         for _ in range(n):
             out = out * self
         return out
-
-    def __call__(self, x) -> Rational:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def to_json(self) -> list[str]:
         """Constant-first list of strict rational strings."""
@@ -211,7 +191,7 @@ class LaurentSym:
     c: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(_as_rational(v) for v in self.c)
+        cs = tuple(as_rational(v) for v in self.c)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "c", cs)
@@ -222,16 +202,12 @@ class LaurentSym:
 
     @classmethod
     def constant(cls, value) -> "LaurentSym":
-        return cls((_as_rational(value),))
+        return cls((as_rational(value),))
 
     @property
     def top(self) -> int:
         """Largest j with c_j != 0; -1 for zero."""
         return len(self.c) - 1
-
-    def coeff(self, j: int) -> Rational:
-        j = abs(j)
-        return self.c[j] if j < len(self.c) else Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self.c)
@@ -251,7 +227,7 @@ class LaurentSym:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            s = _as_rational(other)
+            s = as_rational(other)
             return LaurentSym(tuple(s * v for v in self.c))
         if not isinstance(other, LaurentSym):
             return NotImplemented
@@ -287,7 +263,7 @@ _X_LAURENT = LaurentSym((Fraction(0), Fraction(1, 2)))
 def to_laurent(p: PolyX) -> LaurentSym:
     """Substitute x = (z + 1/z)/2; Horner in the Laurent ring.
 
-    >>> to_laurent(PolyX.from_coeffs([0, 0, 1])).c     # x^2
+    >>> to_laurent(PolyX.monomial(2)).c     # x^2
     (Fraction(1, 2), Fraction(0, 1), Fraction(1, 4))
     """
     acc = LaurentSym.zero()
@@ -356,10 +332,10 @@ def resultant(p: PolyX, r: PolyX) -> Rational:
     then deg(r) shifted rows of p's. Constants are handled by the usual
     convention value^(degree of the other); two constants give 1.
 
-    >>> resultant(PolyX.x(), PolyX.from_coeffs([-1, 1]))
+    >>> resultant(PolyX.x(), PolyX((-1, 1)))
     Fraction(1, 1)
-    >>> resultant(PolyX.from_coeffs([0, Fraction(5, 2)]),
-    ...           PolyX.from_coeffs([Fraction(-3, 4), 0, Fraction(17, 8)]))
+    >>> resultant(PolyX((0, Fraction(5, 2))),
+    ...           PolyX((Fraction(-3, 4), 0, Fraction(17, 8))))
     Fraction(-75, 16)
     """
     if not p or not r:

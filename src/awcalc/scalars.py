@@ -4,14 +4,13 @@ All arithmetic in this package happens over Q. ``Rational`` is
 ``fractions.Fraction``: it already keeps lowest terms and a positive
 denominator, which is exactly the canonical form the wire format needs.
 What this module adds is a strict text form ("p/q" or "p", nothing else),
-a context object pinning v, and the small q-number zoo used everywhere
-downstream:
+a context object pinning v, the int-or-Fraction coercion every constructor
+uses, and the small q-number zoo used everywhere downstream:
 
     gamma_n = (v^n - v^-n) / (v - v^-1)       gamma_0 = 0, gamma_1 = 1
-    gamma_n! = gamma_1 * gamma_2 * ... * gamma_n,   gamma_0! = 1
     alpha_k = (v^k + v^-k) / 2                alpha_0 = 1, alpha_1 = alpha
 
-gamma_n > 0 for n >= 1 whenever 0 < v < 1, so the factorials never vanish.
+gamma_n > 0 for n >= 1 whenever 0 < v < 1.
 """
 
 from __future__ import annotations
@@ -46,6 +45,15 @@ def parse_rational(text: str) -> Rational:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise UsageError(f"not a rational literal: {text!r}")
     return Fraction(text)
+
+
+def as_rational(value) -> Rational:
+    """An int or Fraction as a Fraction; anything else is a UsageError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise UsageError(f"expected an int or Fraction, got {value!r}")
 
 
 def format_rational(value: Rational) -> str:
@@ -106,16 +114,6 @@ def gamma(ctx: QContext, n: int) -> Rational:
     if n == 0:
         return Fraction(0)
     return (ctx.v ** n - ctx.v ** -n) / (ctx.v - 1 / ctx.v)
-
-
-@lru_cache(maxsize=None)
-def gamma_factorial(ctx: QContext, n: int) -> Rational:
-    """gamma_n! = product of gamma_1 .. gamma_n; empty product is 1."""
-    if n < 0:
-        raise DomainError(f"gamma factorial needs n >= 0, got {n}")
-    if n == 0:
-        return Fraction(1)
-    return gamma_factorial(ctx, n - 1) * gamma(ctx, n)
 
 
 @lru_cache(maxsize=None)

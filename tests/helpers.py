@@ -6,6 +6,13 @@ dict, apply the z-shifts straight from the operator definitions, and
 divide out the denominator by exact long division on dicts. Agreement
 with apply_Dq / apply_Sq is then a genuine two-route check rather than
 the library testing itself.
+
+The other oracles live here for the same reason, since nothing but the
+tests reads them: evaluate (Horner evaluation, against which the ring
+operations of PolyX are checked), gamma_factorial (the normalisation of
+the derived families), and chain_coeffs_by_elimination, which re-derives
+every chain display by anchored elimination on the ladder rows, with no
+closed forms, and must agree with proof_engine.chain_coeffs exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from awcalc import build_family, make_qcontext, params_from_sigmas, parse_rational
+from awcalc import build_family, make_qcontext, params_from_sigmas
+from awcalc.errors import DomainError, InternalError
+from awcalc.proof_engine import ChainCoeffs
+from awcalc.qoperators import structural_polys
+from awcalc.qpoly import PolyX
+from awcalc.scalars import alpha_k, gamma, parse_rational
 
 # (v, sigmas) of the standard test families
 QHERMITE = ("1/2", "0,0,0,0")
@@ -99,3 +111,101 @@ def sq_oracle(ctx, p) -> dict[int, Fraction]:
     b = breve(p)
     tot = _add(_shift(b, ctx.v, +1), _shift(b, ctx.v, -1))
     return {e: val / 2 for e, val in tot.items() if val != 0}
+
+
+def evaluate(p, x) -> Fraction:
+    """p(x) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def gamma_factorial(ctx, n: int) -> Fraction:
+    """gamma_n! = product of gamma_1 .. gamma_n; empty product is 1."""
+    if n < 0:
+        raise DomainError(f"gamma factorial needs n >= 0, got {n}")
+    out = Fraction(1)
+    for j in range(1, n + 1):
+        out *= gamma(ctx, j)
+    return out
+
+
+def _srow_a(dfam, m: int) -> dict:
+    """S-image of the first ladder relation at index m, written over the
+    slots ("U2D2", m), ("xSD", m), ("P", m), ("SD", m-1..m+1); the relation
+    says the slot-weighted sum is identically zero on P[k-1]_m data."""
+    base, k = dfam.base, dfam.k
+    ctx = base.ctx
+    al = ctx.alpha
+    return {
+        ("U2D2", m): gamma(ctx, k) * al + alpha_k(ctx, k),
+        ("xSD", m): gamma(ctx, k) * (al * al - 1) + alpha_k(ctx, k) * al,
+        ("P", m): gamma(ctx, k),
+        ("SD", m + 1): -gamma(ctx, m + k) / gamma(ctx, m + 1),
+        ("SD", m): -base.recurrence_B(m + k - 1),
+        ("SD", m - 1): -gamma(ctx, m) * base.recurrence_C(m + k - 1)
+        / gamma(ctx, m + k - 1),
+    }
+
+
+def _srow_b(dfam, m: int) -> dict:
+    """S-image of the second ladder relation at index m, same slots."""
+    ctx = dfam.base.ctx
+    gm = gamma(ctx, m)
+    return {
+        ("U2D2", m): 1 / gm,
+        ("xSD", m): ctx.alpha / gm,
+        ("SD", m + 1): -1 / gamma(ctx, m + 1),
+        ("SD", m): -dfam.recurrence_B(m - 1) / gm,
+        ("SD", m - 1): -dfam.recurrence_C(m - 1) / gamma(ctx, m - 1),
+    }
+
+
+def _combine(c1, row1: dict, c2, row2: dict) -> dict:
+    keys = set(row1) | set(row2)
+    return {
+        key: c1 * row1.get(key, Fraction(0)) + c2 * row2.get(key, Fraction(0))
+        for key in keys
+    }
+
+
+def chain_coeffs_by_elimination(dfam, n: int) -> ChainCoeffs:
+    """Independent oracle for proof_engine.chain_coeffs.
+
+    Rebuilds the displays by anchored linear elimination on the raw ladder
+    rows: no gamma/alpha product identities, no closed forms, just row
+    arithmetic on the family's own recurrence data.
+    """
+    ctx = dfam.base.ctx
+    ra, rb = _srow_a(dfam, n), _srow_b(dfam, n)
+    if rb[("SD", n - 1)] == 0:
+        raise DomainError(
+            "derived recurrence coefficient vanishes; elimination impossible"
+        )
+    c1 = dfam.recurrence_C(n - 1) / gamma(ctx, n - 1)
+    c2 = -c1 * ra[("SD", n - 1)] / rb[("SD", n - 1)]
+    row3 = _combine(c1, ra, c2, rb)
+    if row3[("SD", n - 1)] != 0:
+        raise InternalError("low-slot elimination left a remainder")
+    en = row3[("U2D2", n)]
+    dn = PolyX((row3[("SD", n)], row3[("xSD", n)]))
+    fn_scalar = -row3[("SD", n + 1)]
+
+    ra1, rb1 = _srow_a(dfam, n + 1), _srow_b(dfam, n + 1)
+    c1p = Fraction(-1) / gamma(ctx, n + 2)
+    c2p = -c1p * ra1[("SD", n + 2)] / rb1[("SD", n + 2)]
+    row4 = _combine(c1p, ra1, c2p, rb1)
+    if row4[("SD", n + 2)] != 0:
+        raise InternalError("high-slot elimination left a remainder")
+    dtilde = PolyX((row4[("SD", n + 1)], row4[("xSD", n + 1)]))
+    etilde = -row4[("U2D2", n + 1)]
+    fnext = -row4[("SD", n)]
+
+    _, u2 = structural_polys(ctx)
+    fn = en * etilde * u2 - dn * dtilde + PolyX.constant(fn_scalar * fnext)
+    gn = etilde * dn - en * dtilde
+    return ChainCoeffs(
+        Dn=dn, En=en, Fn=fn_scalar, Fnext=fnext,
+        Dtilde=dtilde, Etilde=etilde, fn=fn, gn=gn,
+    )

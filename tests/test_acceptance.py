@@ -16,18 +16,16 @@ from awcalc import (
     apply_Dq,
     apply_Sq,
     chain_coeffs,
-    chain_coeffs_by_elimination,
     derived_family,
-    equation_coeffs,
     make_qcontext,
-    random_poly,
-    resultant,
     run_chain_verification,
     verify_identity,
     verify_k_fold_rule,
 )
+from awcalc.askey_wilson import equation_coeffs
 from awcalc.cli import main
-from helpers import PARAM_SETS, cached_family
+from awcalc.qpoly import random_poly, resultant
+from helpers import PARAM_SETS, cached_family, chain_coeffs_by_elimination
 
 
 def _report(label, fn):

@@ -5,28 +5,31 @@ from fractions import Fraction
 import pytest
 
 from awcalc import (
-    DegenerateParams,
-    EigenvalueCollision,
-    InternalError,
-    OrthogonalityBroken,
     PolyX,
-    UsageError,
     apply_Dq,
     apply_Sq,
     build_family,
+    make_qcontext,
+    params_from_roots,
+    params_from_sigmas,
+)
+from awcalc import askey_wilson
+from awcalc.askey_wilson import (
+    _reject_degenerate,
     eigenvalue,
     equation_coeffs,
     family_from_dict,
     family_to_dict,
-    make_params,
-    make_qcontext,
-    params_from_roots,
-    params_from_sigmas,
     solve_operator_equation,
     three_term_data,
 )
-from awcalc import askey_wilson
-from awcalc.askey_wilson import _reject_degenerate
+from awcalc.errors import (
+    DegenerateParams,
+    EigenvalueCollision,
+    InternalError,
+    OrthogonalityBroken,
+    UsageError,
+)
 from helpers import PARAM_SETS, SET_B, cached_family
 
 HALF = make_qcontext(Fraction(1, 2))
@@ -44,15 +47,6 @@ class TestParams:
             Fraction(-1, 20),
             Fraction(-1, 120),
         )
-
-    def test_make_params_wants_exactly_one_spelling(self):
-        with pytest.raises(UsageError):
-            make_params()
-        with pytest.raises(UsageError):
-            make_params(roots=(1, 2, 3, 4), sigmas=(0, 0, 0, 0))
-        with pytest.raises(UsageError):
-            make_params(sigmas=(0, 0, 0))
-        assert make_params(sigmas=(0, 0, 0, 0)) == QH
 
 
 class TestEquationData:

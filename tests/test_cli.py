@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from awcalc import build_family, family_to_dict, make_qcontext, params_from_sigmas
+from awcalc import build_family, cli, make_qcontext, params_from_sigmas
+from awcalc.askey_wilson import family_to_dict
 from awcalc.cli import main
 from fractions import Fraction
 
@@ -99,26 +100,32 @@ class TestBuildFamily:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["N"] == 3
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["build-family", "--qsqrt", "1/2"],  # no parameters at all
-            ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0",
-             "--params", "1,2,3,4"],
-            ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0"],
-            ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,4"],  # degenerate
-            ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0", "--nmax", "-1"],
-            ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0", "--nmax", "1",
-             "--out", "/nonexistent/dir/fam.json"],
-        ],
-    )
-    def test_usage_errors(self, argv, capsys):
+    USAGE_ERRORS = [
+        (["build-family", "--qsqrt", "1/2"],  # no parameters at all
+         "error: give exactly one of --params or --sigmas"),
+        (["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0",
+          "--params", "1,2,3,4"],
+         "error: give exactly one of --params or --sigmas"),
+        (["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0"],
+         "error: expected 4 comma-separated rationals, got '0,0,0'"),
+        (["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,4"],  # degenerate
+         "error: sigma4 = q^(-1) collides eigenvalues"),
+        (["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0", "--nmax", "-1"],
+         "argument --nmax: must be >= 0, got -1"),
+        (["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0", "--nmax", "1",
+          "--out", "/nonexistent/dir/fam.json"],
+         "error: cannot write output file: "),
+        # a family has no text form, so build-family takes no --format
+        (["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0",
+          "--format", "text"],
+         "unrecognized arguments: --format text"),
+    ]
+
+    @pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                             ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+    def test_usage_errors(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
-        assert code == 2 and err != ""
-        if "-1" in argv:
-            assert "argument --nmax: must be >= 0, got -1" in err
-        if "--out" in argv:
-            assert out == "" and err.startswith("error: cannot write output file: ")
+        assert code == 2 and out == "" and message in err
 
 
 class TestVerifyChain:
@@ -266,6 +273,23 @@ class TestVerifyChain:
         fam_path.write_text(json.dumps(blob))
         code, out, err = run(["verify-chain", "--family", str(fam_path)], capsys)
         assert code == 2 and out == "" and "N must be an int" in err
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_is_rejected_before_the_run(
+            self, where, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the chain ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_chain_verification", no_run)
+        target = tmp_path / "no" / "x.json" if where == "missing_dir" else tmp_path
+        code, out, err = run(
+            ["verify-chain", "--qsqrt", "1/2", "--sigmas", "0,0,0,0",
+             "--nmax", "3", "--out", str(target)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write output file: ")
+        assert str(target) in err
 
     def test_malformed_family_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

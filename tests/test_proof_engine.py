@@ -5,40 +5,50 @@ from fractions import Fraction
 import pytest
 
 from awcalc import (
-    AWMatch,
     ChainWorkspace,
-    CheckRecord,
-    DependencyError,
-    DomainError,
-    ExtractionResult,
-    NoRationalMatch,
     PolyX,
-    ProportionalityFailure,
-    UsageError,
-    alpha_k,
     apply_Dq,
-    apply_Dq_power,
     apply_Sq,
     build_family,
     chain_coeffs,
-    chain_coeffs_by_elimination,
-    check_no_common_zeros,
-    check_nonvanishing,
     derived_family,
     extract_rn_fg,
     gamma,
-    gamma_factorial,
     make_qcontext,
     params_from_sigmas,
-    record_sort_key,
-    report_to_dict,
     run_chain_verification,
-    verify_chain_equation,
     verify_final_matches_aw,
 )
 from awcalc import proof_engine, qoperators
-from awcalc.proof_engine import CHAIN_EQUATIONS, _extract_proportional
-from helpers import PARAM_SETS, SET_B, SET_C, cached_family
+from awcalc.errors import (
+    DependencyError,
+    DomainError,
+    NoRationalMatch,
+    ProportionalityFailure,
+    UsageError,
+)
+from awcalc.proof_engine import (
+    CHAIN_EQUATIONS,
+    AWMatch,
+    CheckRecord,
+    ExtractionResult,
+    _extract_proportional,
+    check_no_common_zeros,
+    check_nonvanishing,
+    record_sort_key,
+    report_to_dict,
+    verify_chain_equation,
+)
+from awcalc.qoperators import apply_Dq_power
+from awcalc.scalars import alpha_k
+from helpers import (
+    PARAM_SETS,
+    SET_B,
+    SET_C,
+    cached_family,
+    chain_coeffs_by_elimination,
+    gamma_factorial,
+)
 
 QH8 = cached_family("1/2", "0,0,0,0", 8)
 B8 = cached_family(*SET_B, 8)
@@ -178,7 +188,7 @@ class TestExtraction:
         got = extract_rn_fg(dfam, range(2, 7))
         assert got.f == PolyX((1, 0, -2))
         assert got.g == PolyX((0, Fraction(-8, 3)))
-        assert got.n0 == 2
+        assert min(got.r) == 2
         assert got.r[2] == Fraction(3, 4760)
 
     def test_manufactured_pairs(self):
@@ -274,7 +284,7 @@ class TestFinalMatch:
 
     def test_zero_scale_has_no_match(self):
         fake = ExtractionResult(
-            f=PolyX.one(), g=PolyX.zero(), r={2: Fraction(1)}, n0=2
+            f=PolyX.one(), g=PolyX.zero(), r={2: Fraction(1)}
         )
         with pytest.raises(NoRationalMatch, match="scale factor is zero"):
             verify_final_matches_aw(ChainWorkspace(QH8), 1, fake)
@@ -289,7 +299,7 @@ class TestFinalMatch:
         honest = extract_rn_fg(derived_family(B8, 1), range(2, 7))
         alien = ExtractionResult(
             f=PolyX((1, 0, -2)), g=PolyX((0, Fraction(-8, 3))),
-            r=dict(honest.r), n0=honest.n0,
+            r=dict(honest.r),
         )
         match = verify_final_matches_aw(ws, 1, alien)
         assert match.c == Fraction(1, 2)
@@ -299,7 +309,7 @@ class TestFinalMatch:
 
     def test_degree_overflow_rejected(self):
         fake = ExtractionResult(
-            f=PolyX.monomial(3, Fraction(1)), g=PolyX.zero(), r={2: Fraction(1)}, n0=2
+            f=PolyX.monomial(3, Fraction(1)), g=PolyX.zero(), r={2: Fraction(1)}
         )
         with pytest.raises(NoRationalMatch, match="quadratic/linear"):
             verify_final_matches_aw(ChainWorkspace(QH8), 1, fake)

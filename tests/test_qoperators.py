@@ -14,10 +14,7 @@ from hypothesis import strategies as st
 from awcalc import (
     IDENTITIES,
     PolyX,
-    UsageError,
-    alpha_k,
     apply_Dq,
-    apply_Dq_power,
     apply_Sq,
     gamma,
     make_qcontext,
@@ -25,6 +22,9 @@ from awcalc import (
     verify_identity,
     verify_k_fold_rule,
 )
+from awcalc.errors import UsageError
+from awcalc.qoperators import apply_Dq_power
+from awcalc.scalars import alpha_k
 from helpers import breve, dq_oracle, sq_oracle
 
 contexts = st.sampled_from(

@@ -6,16 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from awcalc import (
-    DomainError,
-    UsageError,
-    alpha_k,
-    format_rational,
-    gamma,
-    gamma_factorial,
-    make_qcontext,
-    parse_rational,
-)
+from awcalc import gamma, make_qcontext
+from awcalc.errors import DomainError, UsageError
+from awcalc.scalars import alpha_k, format_rational, parse_rational
+from helpers import gamma_factorial
 
 V_VALUES = [Fraction(1, 2), Fraction(1, 3), Fraction(3, 5), Fraction(7, 9)]
 contexts = st.sampled_from([make_qcontext(v) for v in V_VALUES])
