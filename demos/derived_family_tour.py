@@ -21,6 +21,7 @@ from awcalc import (
     run_chain_verification,
     verify_final_matches_aw,
 )
+from awcalc.proof_engine import verify_chain_equation
 
 SIGMAS = (Fraction(11, 30), Fraction(-2, 15), Fraction(-1, 30), Fraction(0))
 
@@ -55,7 +56,11 @@ def main() -> None:
     print(f"  f = {extraction.f!r}")
     print(f"  g = {extraction.g!r}")
     print(f"  scales r_n = {extraction.r}")
-    match = verify_final_matches_aw(ChainWorkspace(base), k, extraction)
+    # eq_final reads one eigenvalue per degree off the order-k chain images
+    ws = ChainWorkspace(base)
+    mu = {n: verify_chain_equation(ws, k, "eq_final", n, extraction=extraction).witness
+          for n in extraction.r}
+    match = verify_final_matches_aw(ctx, extraction, mu)
     print("matched against the coefficient form of the base equation:")
     print(f"  scale c = {match.c}")
     print(f"  recovered sigmas = {match.params.sigmas}")

@@ -28,10 +28,9 @@ def main() -> None:
     print(f"context: v = {ctx.v}, q = {ctx.q}, alpha = (v + 1/v)/2 = {ctx.alpha}")
     print()
 
-    x = PolyX.x()
     print("the operators lower/preserve degree; on the first few monomials:")
     for n in range(5):
-        p = x**n
+        p = PolyX.monomial(n)
         print(f"  D x^{n} = {apply_Dq(ctx, p)!r}")
         print(f"  S x^{n} = {apply_Sq(ctx, p)!r}")
     print()
@@ -57,8 +56,7 @@ def main() -> None:
     print()
 
     print("the k-fold commutation rule D^k(x f) = gamma_k S D^(k-1) f + alpha_k x D^k f:")
-    for k in range(1, 6):
-        res = verify_k_fold_rule(ctx, f, k)
+    for k, res in enumerate(verify_k_fold_rule(ctx, f, 5), 1):
         print(f"  k = {k}: residual = {res.residual!r}")
         assert res.passed
 

@@ -124,14 +124,9 @@ def _run_identities(args) -> tuple[str, bool]:
     for t in range(args.trials):
         f = random_poly(rng, MAX_TRIAL_DEGREE)
         g = random_poly(rng, MAX_TRIAL_DEGREE)
-        for which in IDENTITIES:
-            res = verify_identity(ctx, which, f, g)
-            records.append(CheckRecord(
-                name=which, k=None, n=t, passed=res.passed,
-                witness=residual_witness(res),
-            ))
-        for k in range(1, KFOLD_MAX + 1):
-            res = verify_k_fold_rule(ctx, f, k)
+        checks = [(None, verify_identity(ctx, which, f, g)) for which in IDENTITIES]
+        checks += enumerate(verify_k_fold_rule(ctx, f, KFOLD_MAX), 1)
+        for k, res in checks:
             records.append(CheckRecord(
                 name=res.name, k=k, n=t, passed=res.passed,
                 witness=residual_witness(res),

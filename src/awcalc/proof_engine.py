@@ -45,7 +45,7 @@ D P[k]_n = gamma_n P[k+1]_(n-1), and S P[k]_n is the S image that
 SD P[k-1]_(n+1) reads. A ChainWorkspace holds the ladder orders of one run
 and the S image of each ladder member, applied once, and serves every P,
 S, D, D^2 and SD image by (order, index). run_chain_verification creates
-one per run; verify_chain_equation and verify_final_matches_aw require it.
+one per run, and verify_chain_equation requires it.
 
 chain_coeffs gives the closed-form displays. The test suite re-derives
 every one of them by anchored elimination on the ladder rows, without the
@@ -57,7 +57,8 @@ two degrees if it is swapped.
 verify_final_matches_aw closes the loop: the extracted (f, g) pair is
 matched, by an exact linear solve, to the four-parameter coefficient form
 of askey_wilson.equation_coeffs, recovering the parameter vector of the
-derived family together with the overall scale.
+derived family together with the overall scale. It applies no operator:
+the eigenvalues it checks are the ones eq_final read off.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ from .qoperators import (
     structural_polys,
 )
 from .qpoly import PolyX, resultant
-from .scalars import Rational, alpha_k, format_rational, gamma
+from .scalars import QContext, Rational, alpha_k, format_rational, gamma
 
 @dataclass(frozen=True)
 class DerivedFamily(Ladder):
@@ -515,20 +516,18 @@ class AWMatch:
 
 
 def verify_final_matches_aw(
-    ws: ChainWorkspace, k: int, extraction: ExtractionResult
+    ctx: QContext, extraction: ExtractionResult, mu: Mapping[int, Rational]
 ) -> AWMatch:
     """Match the extracted (f, g) to c * (coefficient form at some sigma).
 
     The five coefficients of (f, g) determine (c, c*sigma_j) by a linear
     solve; c = 0 or any round-trip discrepancy means no rational parameter
     vector fits and raises NoRationalMatch. As a final consistency check
-    the eigenvalue read off eq_final must equal -c times the
-    operator-equation eigenvalue at the recovered parameters, for every
-    extracted degree; with the solve above this pins the display formula
-    of eigenvalue() against the operator algebra. The operator images are
-    those of the order-k chain on ws, as in verify_chain_equation.
+    mu[n], the eigenvalue eq_final read off at degree n, must equal -c
+    times the operator-equation eigenvalue at the recovered parameters, for
+    every extracted degree; with the solve above this pins the display
+    formula of eigenvalue() against the operator algebra.
     """
-    ctx = ws.base.ctx
     v, q = ctx.v, ctx.q
     f, g = extraction.f, extraction.g
     if f.degree > 2 or g.degree > 1:
@@ -549,8 +548,7 @@ def verify_final_matches_aw(
     if c * faw != f or c * gaw != g:
         raise NoRationalMatch("round trip through the coefficient form mismatched")
     for n in sorted(extraction.r):
-        h = f * ws.D2(k - 1, n) + g * ws.SD(k - 1, n)
-        if -h.coeff(n) != -c * eigenvalue(ctx, params, n):
+        if mu[n] != -c * eigenvalue(ctx, params, n):
             raise NoRationalMatch(f"eigenvalue mismatch at degree {n}")
     return AWMatch(params=params, c=c)
 
@@ -636,6 +634,7 @@ def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:
                     "unavailable: proportionality failed")
         else:
             gk = gamma(ctx, k)
+            mu = {}
             for n in range(2, hi_chain + 1):
                 add("proportionality", n, True,
                     format_rational(extraction.r[n]))
@@ -643,13 +642,13 @@ def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:
                 cc = chain_coeffs(dfam, n)
                 expected = gk * cc.Etilde * dfam.recurrence_C(n - 1) \
                     / (extraction.r[n] * gamma(ctx, n - 1))
-                mu = res.witness
-                ok = mu == expected
+                mu[n] = res.witness
+                ok = mu[n] == expected
                 add("lambda_formula", n, ok,
-                    format_rational(mu) if ok
-                    else f"{format_rational(mu)} != {format_rational(expected)}")
+                    format_rational(mu[n]) if ok
+                    else f"{format_rational(mu[n])} != {format_rational(expected)}")
             try:
-                match = verify_final_matches_aw(ws, k, extraction)
+                match = verify_final_matches_aw(ctx, extraction, mu)
                 sig = ",".join(format_rational(s) for s in match.params.sigmas)
                 add("aw_form_match", None, True,
                     f"c={format_rational(match.c)};sigmas={sig}")

@@ -77,16 +77,6 @@ def apply_Sq(ctx: QContext, p: PolyX) -> PolyX:
     return from_laurent(LaurentSym(scaled))
 
 
-def apply_Dq_power(ctx: QContext, p: PolyX, k: int) -> PolyX:
-    """k-fold application of D."""
-    if k < 0:
-        raise UsageError(f"operator power must be >= 0, got {k}")
-    out = p
-    for _ in range(k):
-        out = apply_Dq(ctx, out)
-    return out
-
-
 def structural_polys(ctx: QContext) -> tuple[PolyX, PolyX]:
     """The companion polynomials U1 = (alpha^2 - 1) x and
     U2 = (alpha^2 - 1)(x^2 - 1) appearing in every composition rule."""
@@ -121,46 +111,52 @@ def verify_identity(
     """Check one of the four structural identities on concrete input.
 
     product_D and product_S need both f and g; the composition identities
-    use f alone. The returned residual is left-hand side minus right-hand
-    side, exactly.
+    use f alone. D and S are applied to f once each, and every other image
+    is taken from those. The returned residual is left-hand side minus
+    right-hand side, exactly.
     """
+    if which not in IDENTITIES:
+        raise UsageError(f"unknown identity {which!r}; known: {IDENTITIES}")
+    if which in ("product_D", "product_S") and g is None:
+        raise UsageError(f"identity {which} needs a second polynomial")
     u1, u2 = structural_polys(ctx)
-    if which in ("product_D", "product_S"):
-        if g is None:
-            raise UsageError(f"identity {which} needs a second polynomial")
-        df, dg = apply_Dq(ctx, f), apply_Dq(ctx, g)
-        sf, sg = apply_Sq(ctx, f), apply_Sq(ctx, g)
-        if which == "product_D":
-            residual = apply_Dq(ctx, f * g) - (df * sg + sf * dg)
-        else:
-            residual = apply_Sq(ctx, f * g) - (u2 * df * dg + sf * sg)
-        return _residual_result(which, residual)
-    if which == "S_squared":
-        ssf = apply_Sq(ctx, apply_Sq(ctx, f))
-        ddf = apply_Dq(ctx, apply_Dq(ctx, f))
-        sdf = apply_Sq(ctx, apply_Dq(ctx, f))
-        residual = ssf - (ctx.alpha * u2 * ddf + u1 * sdf + f)
-        return _residual_result(which, residual)
-    if which == "DS_commute":
-        dsf = apply_Dq(ctx, apply_Sq(ctx, f))
-        sdf = apply_Sq(ctx, apply_Dq(ctx, f))
-        ddf = apply_Dq(ctx, apply_Dq(ctx, f))
-        residual = dsf - (ctx.alpha * sdf + u1 * ddf)
-        return _residual_result(which, residual)
-    raise UsageError(f"unknown identity {which!r}; known: {IDENTITIES}")
+    df, sf = apply_Dq(ctx, f), apply_Sq(ctx, f)
+    if which == "product_D":
+        dg, sg = apply_Dq(ctx, g), apply_Sq(ctx, g)
+        residual = apply_Dq(ctx, f * g) - (df * sg + sf * dg)
+    elif which == "product_S":
+        dg, sg = apply_Dq(ctx, g), apply_Sq(ctx, g)
+        residual = apply_Sq(ctx, f * g) - (u2 * df * dg + sf * sg)
+    elif which == "S_squared":
+        residual = apply_Sq(ctx, sf) - (
+            ctx.alpha * u2 * apply_Dq(ctx, df) + u1 * apply_Sq(ctx, df) + f)
+    else:
+        residual = apply_Dq(ctx, sf) - (
+            ctx.alpha * apply_Sq(ctx, df) + u1 * apply_Dq(ctx, df))
+    return _residual_result(which, residual)
 
 
-def verify_k_fold_rule(ctx: QContext, f: PolyX, k: int) -> OperatorCheckResult:
-    """The k-fold image of x*f:
+def verify_k_fold_rule(
+    ctx: QContext, f: PolyX, kmax: int
+) -> tuple[OperatorCheckResult, ...]:
+    """The k-fold image of x*f, for k = 1..kmax in that order:
 
         D^k(x f) = gamma_k SD^(k-1) f + alpha_k x D^k f.
 
     k = 1 is the plain product rule applied to x*f; induction on k rides on
-    DS_commute, which is why this is checked for a range of k.
+    DS_commute, which is why this is checked for a range of k. D^j f and
+    D^j (x f) are built once, one D per rung, and S is applied once per k.
     """
-    if k < 1:
-        raise UsageError(f"k-fold rule needs k >= 1, got {k}")
-    lhs = apply_Dq_power(ctx, PolyX.x() * f, k)
-    rhs = gamma(ctx, k) * apply_Sq(ctx, apply_Dq_power(ctx, f, k - 1)) \
-        + alpha_k(ctx, k) * PolyX.x() * apply_Dq_power(ctx, f, k)
-    return _residual_result(f"kfold_k{k}", lhs - rhs)
+    if kmax < 1:
+        raise UsageError(f"k-fold rule needs k >= 1, got {kmax}")
+    x = PolyX.x()
+    d_f, d_xf = [f], [x * f]
+    for _ in range(kmax):
+        d_f.append(apply_Dq(ctx, d_f[-1]))
+        d_xf.append(apply_Dq(ctx, d_xf[-1]))
+    return tuple(
+        _residual_result(f"kfold_k{k}", d_xf[k] - (
+            gamma(ctx, k) * apply_Sq(ctx, d_f[k - 1])
+            + alpha_k(ctx, k) * x * d_f[k]))
+        for k in range(1, kmax + 1)
+    )

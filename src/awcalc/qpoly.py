@@ -58,10 +58,6 @@ class PolyX:
         return cls(())
 
     @classmethod
-    def one(cls) -> "PolyX":
-        return cls((Fraction(1),))
-
-    @classmethod
     def x(cls) -> "PolyX":
         return cls((Fraction(0), Fraction(1)))
 
@@ -136,14 +132,6 @@ class PolyX:
         if c == 0:
             raise DomainError("division of a polynomial by zero")
         return self * (Fraction(1) / c)
-
-    def __pow__(self, n: int) -> "PolyX":
-        if not isinstance(n, int) or n < 0:
-            raise UsageError(f"polynomial power must be an int >= 0, got {n}")
-        out = PolyX.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def to_json(self) -> list[str]:
         """Constant-first list of strict rational strings."""

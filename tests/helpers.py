@@ -9,8 +9,9 @@ the library testing itself.
 
 The other oracles live here for the same reason, since nothing but the
 tests reads them: evaluate (Horner evaluation, against which the ring
-operations of PolyX are checked), gamma_factorial (the normalisation of
-the derived families), and chain_coeffs_by_elimination, which re-derives
+operations of PolyX are checked), gamma_factorial and dq_power (the
+normalisation and the k-fold D of the derived families' definition), and
+chain_coeffs_by_elimination, which re-derives
 every chain display by anchored elimination on the ladder rows, with no
 closed forms, and must agree with proof_engine.chain_coeffs exactly.
 """
@@ -23,7 +24,7 @@ from functools import lru_cache
 from awcalc import build_family, make_qcontext, params_from_sigmas
 from awcalc.errors import DomainError, InternalError
 from awcalc.proof_engine import ChainCoeffs
-from awcalc.qoperators import structural_polys
+from awcalc.qoperators import apply_Dq, structural_polys
 from awcalc.qpoly import PolyX
 from awcalc.scalars import alpha_k, gamma, parse_rational
 
@@ -129,6 +130,13 @@ def gamma_factorial(ctx, n: int) -> Fraction:
     for j in range(1, n + 1):
         out *= gamma(ctx, j)
     return out
+
+
+def dq_power(ctx, p, k: int):
+    """D applied k times to p, one apply_Dq at a time."""
+    for _ in range(k):
+        p = apply_Dq(ctx, p)
+    return p
 
 
 def _srow_a(dfam, m: int) -> dict:

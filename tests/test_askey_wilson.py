@@ -74,7 +74,7 @@ class TestEquationData:
 class TestSolve:
     def test_known_low_degrees(self):
         assert solve_operator_equation(HALF, QH, 3) == (
-            PolyX.one(),
+            PolyX.constant(1),
             PolyX.x(),
             PolyX((Fraction(-3, 16), 0, 1)),
             PolyX((0, Fraction(-27, 64), 0, 1)),
@@ -185,7 +185,7 @@ class TestBuildFamily:
 class TestThreeTermData:
     def test_detects_non_orthogonal_sequences(self):
         x = PolyX.x()
-        seq = [PolyX.one(), x, x * x, x**3 + PolyX.one()]
+        seq = [PolyX.constant(1), x, x * x, x * x * x + PolyX.constant(1)]
         with pytest.raises(OrthogonalityBroken):
             three_term_data(seq)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from awcalc import build_family, cli, make_qcontext, params_from_sigmas
+from awcalc import build_family, cli, make_qcontext, params_from_sigmas, qoperators
 from awcalc.askey_wilson import family_to_dict
 from awcalc.cli import main
 from fractions import Fraction
@@ -34,6 +34,19 @@ class TestVerifyIdentities:
         assert blob["context"] == {"v": "1/2", "trials": 3, "seed": 7, "max_degree": 10}
         assert len(blob["checks"]) == 3 * 9  # 4 identities + 5 k-fold per trial
         assert all(c["passed"] for c in blob["checks"])
+
+    def test_one_trial_applies_each_operator_once_per_image(self, monkeypatch, capsys):
+        # 10 D and 10 S for the four identities, then D^j f and D^j (x f)
+        # for j <= 5 and one S per k for the k-fold rule
+        calls = {"apply_Dq": 0, "apply_Sq": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(qoperators, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(qoperators, name, counted)
+        argv = ["verify-identities", "--qsqrt", "1/3", "--trials", "1", "--seed", "3"]
+        assert run(argv, capsys)[0] == 0
+        assert calls == {"apply_Dq": 20, "apply_Sq": 15}
 
     def test_deterministic_output(self, capsys):
         argv = ["verify-identities", "--qsqrt", "1/3", "--trials", "4", "--seed", "11"]
@@ -315,7 +328,8 @@ class TestParser:
 
 
 # sha256 of stdout, recorded before the operator equation shared its
-# monomial images across degrees; any change to the output bytes shows here
+# monomial images across degrees (build, chain) and before the identity checks
+# shared theirs (identities); any change to the output bytes shows here
 GOLDEN_OUTPUTS = [
     (["build-family", "--qsqrt", "1/2", "--sigmas=11/30,-2/15,-1/30,0",
       "--nmax", "12"],
@@ -323,6 +337,8 @@ GOLDEN_OUTPUTS = [
     (["verify-chain", "--qsqrt", "1/3", "--sigmas=-3/2,2,1/4,-1", "--nmax", "7",
       "--k", "1,2,3"],
      "ab932b7aa8de9b9f0623d53a5a14b5452a58c8c7334892c2f45d1603e92e06a0"),
+    (["verify-identities", "--qsqrt", "2/3", "--trials", "3", "--seed", "5"],
+     "85c317fd45a8cf6e9f0ca6fe6da055075d5b56b769162bc4c27c2b57112e06ad"),
 ]
 
 

@@ -1,5 +1,7 @@
-"""The demos run against this checkout's sources and finish cleanly."""
+"""The demos run against this checkout's sources, finish cleanly and print
+the same bytes as before."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -7,25 +9,34 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# sha256 of each demo's stdout; any change to what a demo prints shows here
+DEMO_STDOUT = {
+    "operator_walkthrough.py":
+        "c5b10082f8ee9ab4ea28623879cf581177327c8a4596c509d3c7f0362f024917",
+    "derived_family_tour.py":
+        "e3537fd68e8799af75734edd6169d6aa0ff0ee7b81a1cbd2d34a7f383803c37e",
+}
 
 
 def run_demo(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == DEMO_STDOUT[name], done.stdout
+    return done
 
 
 def test_operator_walkthrough():
-    done = run_demo("operator_walkthrough.py")
-    assert done.returncode == 0, done.stderr
+    run_demo("operator_walkthrough.py")
 
 
 def test_derived_family_tour():
     # the tour asserts the shifted sigmas and report.all_passed itself
     done = run_demo("derived_family_tour.py")
-    assert done.returncode == 0, done.stderr
     last = done.stdout.splitlines()[-1]
     match = re.fullmatch(r"full chain verification: (\d+)/(\d+) checks passed", last)
     assert match and match.group(1) == match.group(2)

@@ -39,7 +39,6 @@ from awcalc.proof_engine import (
     report_to_dict,
     verify_chain_equation,
 )
-from awcalc.qoperators import apply_Dq_power
 from awcalc.scalars import alpha_k
 from helpers import (
     PARAM_SETS,
@@ -47,6 +46,7 @@ from helpers import (
     SET_C,
     cached_family,
     chain_coeffs_by_elimination,
+    dq_power,
     gamma_factorial,
 )
 
@@ -76,7 +76,7 @@ class TestDerivedFamily:
                 dfam = derived_family(base, k)
                 for n in range(dfam.M + 1):
                     scale = gamma_factorial(ctx, n) / gamma_factorial(ctx, n + k)
-                    expect = scale * apply_Dq_power(ctx, base.poly(n + k), k)
+                    expect = scale * dq_power(ctx, base.poly(n + k), k)
                     assert dfam.poly(n) == expect, (k, n)
 
     def test_ladder_between_consecutive_orders(self):
@@ -258,14 +258,22 @@ class TestNoCommonZeros:
 
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
-            check_no_common_zeros(*_images(QH8.ctx, PolyX.one()))
+            check_no_common_zeros(*_images(QH8.ctx, PolyX.constant(1)))
+
+
+def _eq_final_mu(ws, k, extraction):
+    """The eigenvalue eq_final reads off at each extracted degree."""
+    return {n: verify_chain_equation(ws, k, "eq_final", n,
+                                     extraction=extraction).witness
+            for n in extraction.r}
 
 
 class TestFinalMatch:
     def test_simplest_family_recovers_itself(self):
         dfam = derived_family(QH8, 1)
         extraction = extract_rn_fg(dfam, range(2, 7))
-        match = verify_final_matches_aw(ChainWorkspace(QH8), 1, extraction)
+        mu = _eq_final_mu(ChainWorkspace(QH8), 1, extraction)
+        match = verify_final_matches_aw(QH8.ctx, extraction, mu)
         assert isinstance(match, AWMatch)
         assert match.c == Fraction(1, 2)
         assert match.params.sigmas == (0, 0, 0, 0)
@@ -278,16 +286,17 @@ class TestFinalMatch:
             dfam = derived_family(B8, k)
             hi = min(dfam.M - 1, B8.N - 1 - k)
             extraction = extract_rn_fg(dfam, range(2, hi + 1))
-            match = verify_final_matches_aw(ws, k, extraction)
+            mu = _eq_final_mu(ws, k, extraction)
+            match = verify_final_matches_aw(B8.ctx, extraction, mu)
             expect = tuple(v ** ((k - 1) * j) * s for j, s in enumerate(base_sigmas, 1))
             assert match.params.sigmas == expect
 
     def test_zero_scale_has_no_match(self):
         fake = ExtractionResult(
-            f=PolyX.one(), g=PolyX.zero(), r={2: Fraction(1)}
+            f=PolyX.constant(1), g=PolyX.zero(), r={2: Fraction(1)}
         )
         with pytest.raises(NoRationalMatch, match="scale factor is zero"):
-            verify_final_matches_aw(ChainWorkspace(QH8), 1, fake)
+            verify_final_matches_aw(QH8.ctx, fake, {2: Fraction(0)})
 
     def test_matching_is_about_form_not_membership(self):
         # the five coefficients of (f, g) always solve back to some (c, sigma)
@@ -301,7 +310,7 @@ class TestFinalMatch:
             f=PolyX((1, 0, -2)), g=PolyX((0, Fraction(-8, 3))),
             r=dict(honest.r),
         )
-        match = verify_final_matches_aw(ws, 1, alien)
+        match = verify_final_matches_aw(B8.ctx, alien, _eq_final_mu(ws, 1, alien))
         assert match.c == Fraction(1, 2)
         assert match.params.sigmas == (0, 0, 0, 0)
         res = verify_chain_equation(ws, 1, "eq_final", 2, extraction=alien)
@@ -312,7 +321,15 @@ class TestFinalMatch:
             f=PolyX.monomial(3, Fraction(1)), g=PolyX.zero(), r={2: Fraction(1)}
         )
         with pytest.raises(NoRationalMatch, match="quadratic/linear"):
-            verify_final_matches_aw(ChainWorkspace(QH8), 1, fake)
+            verify_final_matches_aw(QH8.ctx, fake, {2: Fraction(0)})
+
+    def test_wrong_eigenvalue_is_named_by_degree(self):
+        honest = extract_rn_fg(derived_family(B8, 1), range(2, 7))
+        mu = _eq_final_mu(ChainWorkspace(B8), 1, honest)
+        assert verify_final_matches_aw(B8.ctx, honest, mu).c != 0
+        mu[4] += 1
+        with pytest.raises(NoRationalMatch, match=r"^eigenvalue mismatch at degree 4$"):
+            verify_final_matches_aw(B8.ctx, honest, mu)
 
 
 class TestRunChainVerification:

@@ -23,7 +23,6 @@ from awcalc import (
     verify_k_fold_rule,
 )
 from awcalc.errors import UsageError
-from awcalc.qoperators import apply_Dq_power
 from awcalc.scalars import alpha_k
 from helpers import breve, dq_oracle, sq_oracle
 
@@ -50,15 +49,15 @@ class TestFrozenValues:
     def test_on_small_monomials(self):
         ctx = make_qcontext(Fraction(1, 2))
         x = PolyX.x()
-        assert apply_Dq(ctx, x) == PolyX.one()
+        assert apply_Dq(ctx, x) == PolyX.constant(1)
         assert apply_Sq(ctx, x) == Fraction(5, 4) * x
         assert apply_Dq(ctx, x * x) == PolyX((0, Fraction(5, 2)))
         assert apply_Sq(ctx, x * x) == PolyX((Fraction(-9, 16), 0, Fraction(17, 8)))
-        assert apply_Dq(ctx, x**3) == PolyX((Fraction(-9, 16), 0, Fraction(21, 4)))
+        assert apply_Dq(ctx, x * x * x) == PolyX((Fraction(-9, 16), 0, Fraction(21, 4)))
 
     def test_constants(self):
         ctx = make_qcontext(Fraction(1, 3))
-        assert apply_Dq(ctx, PolyX.one()) == PolyX.zero()
+        assert apply_Dq(ctx, PolyX.constant(1)) == PolyX.zero()
         assert apply_Sq(ctx, PolyX.constant(Fraction(7, 2))) == PolyX.constant(Fraction(7, 2))
 
     def test_structural_polys(self):
@@ -88,14 +87,6 @@ class TestOperatorLaws:
         assert sp.degree == n
         assert sp.leading == alpha_k(ctx, n) * p.leading
 
-    @given(contexts, polys, st.integers(0, 3))
-    @settings(max_examples=30)
-    def test_Dq_power_is_iteration(self, ctx, p, k):
-        expect = p
-        for _ in range(k):
-            expect = apply_Dq(ctx, expect)
-        assert apply_Dq_power(ctx, p, k) == expect
-
 
 class TestIdentities:
     @given(contexts, polys, polys, st.sampled_from(IDENTITIES))
@@ -108,10 +99,11 @@ class TestIdentities:
 
     @given(contexts, polys, st.integers(1, 5))
     @settings(max_examples=40)
-    def test_k_fold_rule(self, ctx, f, k):
-        res = verify_k_fold_rule(ctx, f, k)
-        assert res.passed
-        assert res.name == f"kfold_k{k}"
+    def test_k_fold_rule(self, ctx, f, kmax):
+        results = verify_k_fold_rule(ctx, f, kmax)
+        assert [res.name for res in results] == [
+            f"kfold_k{k}" for k in range(1, kmax + 1)]
+        assert all(res.passed for res in results)
 
     def test_unknown_identity_rejected(self):
         ctx = make_qcontext(Fraction(1, 2))
