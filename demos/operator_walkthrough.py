@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from awcalc import (
     IDENTITIES,
+    OperatorImages,
     PolyX,
     apply_Dq,
     apply_Sq,
@@ -49,14 +50,16 @@ def main() -> None:
     print(f"f = {f!r}")
     print(f"g = {g!r}")
     print("the four product/composition identities, residuals shown exactly:")
+    # one table of D and S images serves every check on this f and g
+    images = OperatorImages(ctx)
     for which in IDENTITIES:
-        res = verify_identity(ctx, which, f, g=g)
+        res = verify_identity(images, which, f, g=g)
         print(f"  {which:<12} residual = {res.residual!r}")
         assert res.passed
     print()
 
     print("the k-fold commutation rule D^k(x f) = gamma_k S D^(k-1) f + alpha_k x D^k f:")
-    for k, res in enumerate(verify_k_fold_rule(ctx, f, 5), 1):
+    for k, res in enumerate(verify_k_fold_rule(images, f, 5), 1):
         print(f"  k = {k}: residual = {res.residual!r}")
         assert res.passed
 

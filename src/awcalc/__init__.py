@@ -22,6 +22,7 @@ from .scalars import gamma, make_qcontext
 from .qpoly import PolyX
 from .qoperators import (
     IDENTITIES,
+    OperatorImages,
     apply_Dq,
     apply_Sq,
     structural_polys,

@@ -43,7 +43,12 @@ from .proof_engine import (
     residual_witness,
     run_chain_verification,
 )
-from .qoperators import IDENTITIES, verify_identity, verify_k_fold_rule
+from .qoperators import (
+    IDENTITIES,
+    OperatorImages,
+    verify_identity,
+    verify_k_fold_rule,
+)
 from .qpoly import random_poly
 from .scalars import format_rational, make_qcontext, parse_rational
 
@@ -124,8 +129,12 @@ def _run_identities(args) -> tuple[str, bool]:
     for t in range(args.trials):
         f = random_poly(rng, MAX_TRIAL_DEGREE)
         g = random_poly(rng, MAX_TRIAL_DEGREE)
-        checks = [(None, verify_identity(ctx, which, f, g)) for which in IDENTITIES]
-        checks += enumerate(verify_k_fold_rule(ctx, f, KFOLD_MAX), 1)
+        # the nine checks of a trial share one image table; the next trial
+        # draws new polynomials and starts a new one
+        images = OperatorImages(ctx)
+        checks = [(None, verify_identity(images, which, f, g))
+                  for which in IDENTITIES]
+        checks += enumerate(verify_k_fold_rule(images, f, KFOLD_MAX), 1)
         for k, res in checks:
             records.append(CheckRecord(
                 name=res.name, k=k, n=t, passed=res.passed,

@@ -26,6 +26,11 @@ the whole verification engine downstream rests on them:
     DS_commute: DS f  = alpha SD f + U1 D^2 f
 
 where U1(x) = (alpha^2 - 1) x and U2(x) = (alpha^2 - 1)(x^2 - 1).
+
+The checks read their D and S images from an OperatorImages table, which
+applies each operator to each distinct polynomial once. One table serves
+the identity and k-fold checks of one trial, which share f, D f, S f and
+D^j f; a new trial starts a new table.
 """
 
 from __future__ import annotations
@@ -86,6 +91,39 @@ def structural_polys(ctx: QContext) -> tuple[PolyX, PolyX]:
     return u1, u2
 
 
+class OperatorImages:
+    """D and S images at one context, each computed once per polynomial.
+
+    D(p) and S(p) call apply_Dq/apply_Sq on the first request for a given
+    p.coeffs and return the stored image afterwards. The table grows with
+    every distinct input, so it is meant to live for one batch of checks
+    on the same few polynomials, such as one verify-identities trial.
+
+    >>> from awcalc.scalars import make_qcontext
+    >>> images = OperatorImages(make_qcontext(Fraction(1, 2)))
+    >>> x2 = PolyX.monomial(2)
+    >>> images.D(x2) is images.D(PolyX((0, 0, 1)))
+    True
+    """
+
+    def __init__(self, ctx: QContext) -> None:
+        self.ctx = ctx
+        self._d: dict[tuple, PolyX] = {}
+        self._s: dict[tuple, PolyX] = {}
+
+    def D(self, p: PolyX) -> PolyX:
+        image = self._d.get(p.coeffs)
+        if image is None:
+            image = self._d[p.coeffs] = apply_Dq(self.ctx, p)
+        return image
+
+    def S(self, p: PolyX) -> PolyX:
+        image = self._s.get(p.coeffs)
+        if image is None:
+            image = self._s[p.coeffs] = apply_Sq(self.ctx, p)
+        return image
+
+
 @dataclass(frozen=True)
 class OperatorCheckResult:
     """Outcome of one verification.
@@ -106,38 +144,36 @@ def _residual_result(name: str, residual: PolyX) -> OperatorCheckResult:
 
 
 def verify_identity(
-    ctx: QContext, which: str, f: PolyX, g: PolyX | None = None
+    images: OperatorImages, which: str, f: PolyX, g: PolyX | None = None
 ) -> OperatorCheckResult:
     """Check one of the four structural identities on concrete input.
 
     product_D and product_S need both f and g; the composition identities
-    use f alone. D and S are applied to f once each, and every other image
-    is taken from those. The returned residual is left-hand side minus
+    use f alone. Every D and S image comes from `images`, so the four
+    identities of one trial apply each operator to f, g, f*g, D f and S f
+    once between them. The returned residual is left-hand side minus
     right-hand side, exactly.
     """
     if which not in IDENTITIES:
         raise UsageError(f"unknown identity {which!r}; known: {IDENTITIES}")
     if which in ("product_D", "product_S") and g is None:
         raise UsageError(f"identity {which} needs a second polynomial")
+    ctx, D, S = images.ctx, images.D, images.S
     u1, u2 = structural_polys(ctx)
-    df, sf = apply_Dq(ctx, f), apply_Sq(ctx, f)
+    df, sf = D(f), S(f)
     if which == "product_D":
-        dg, sg = apply_Dq(ctx, g), apply_Sq(ctx, g)
-        residual = apply_Dq(ctx, f * g) - (df * sg + sf * dg)
+        residual = D(f * g) - (df * S(g) + sf * D(g))
     elif which == "product_S":
-        dg, sg = apply_Dq(ctx, g), apply_Sq(ctx, g)
-        residual = apply_Sq(ctx, f * g) - (u2 * df * dg + sf * sg)
+        residual = S(f * g) - (u2 * df * D(g) + sf * S(g))
     elif which == "S_squared":
-        residual = apply_Sq(ctx, sf) - (
-            ctx.alpha * u2 * apply_Dq(ctx, df) + u1 * apply_Sq(ctx, df) + f)
+        residual = S(sf) - (ctx.alpha * u2 * D(df) + u1 * S(df) + f)
     else:
-        residual = apply_Dq(ctx, sf) - (
-            ctx.alpha * apply_Sq(ctx, df) + u1 * apply_Dq(ctx, df))
+        residual = D(sf) - (ctx.alpha * S(df) + u1 * D(df))
     return _residual_result(which, residual)
 
 
 def verify_k_fold_rule(
-    ctx: QContext, f: PolyX, kmax: int
+    images: OperatorImages, f: PolyX, kmax: int
 ) -> tuple[OperatorCheckResult, ...]:
     """The k-fold image of x*f, for k = 1..kmax in that order:
 
@@ -145,18 +181,20 @@ def verify_k_fold_rule(
 
     k = 1 is the plain product rule applied to x*f; induction on k rides on
     DS_commute, which is why this is checked for a range of k. D^j f and
-    D^j (x f) are built once, one D per rung, and S is applied once per k.
+    D^j (x f) are built one D per rung and S is taken once per k, all from
+    `images`, so the rungs the identity checks already made are reused.
     """
     if kmax < 1:
         raise UsageError(f"k-fold rule needs k >= 1, got {kmax}")
+    ctx = images.ctx
     x = PolyX.x()
     d_f, d_xf = [f], [x * f]
     for _ in range(kmax):
-        d_f.append(apply_Dq(ctx, d_f[-1]))
-        d_xf.append(apply_Dq(ctx, d_xf[-1]))
+        d_f.append(images.D(d_f[-1]))
+        d_xf.append(images.D(d_xf[-1]))
     return tuple(
         _residual_result(f"kfold_k{k}", d_xf[k] - (
-            gamma(ctx, k) * apply_Sq(ctx, d_f[k - 1])
+            gamma(ctx, k) * images.S(d_f[k - 1])
             + alpha_k(ctx, k) * x * d_f[k]))
         for k in range(1, kmax + 1)
     )

@@ -18,8 +18,10 @@ closed forms, and must agree with proof_engine.chain_coeffs exactly.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from awcalc import build_family, make_qcontext, params_from_sigmas
 from awcalc.errors import DomainError, InternalError
@@ -33,6 +35,15 @@ QHERMITE = ("1/2", "0,0,0,0")
 SET_B = ("1/2", "11/30,-2/15,-1/30,0")
 SET_C = ("1/3", "47/60,3/40,-1/20,-1/120")  # roots 1/2, 1/3, -1/4, 1/5
 PARAM_SETS = (QHERMITE, SET_B, SET_C)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def checkout_env() -> dict[str, str]:
+    """os.environ with this checkout's src first on PYTHONPATH, so that a
+    child process imports the awcalc under test, not an installed copy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 @lru_cache(maxsize=None)

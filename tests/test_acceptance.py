@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from awcalc import (
     IDENTITIES,
+    OperatorImages,
     PolyX,
     apply_Dq,
     apply_Sq,
@@ -46,9 +47,10 @@ def test_criterion_operator_identities():
             for _ in range(20):
                 f = random_poly(rng, 10)
                 g = random_poly(rng, 10)
+                images = OperatorImages(ctx)
                 for which in IDENTITIES:
-                    assert verify_identity(ctx, which, f, g=g).passed
-                assert all(res.passed for res in verify_k_fold_rule(ctx, f, 5))
+                    assert verify_identity(images, which, f, g=g).passed
+                assert all(res.passed for res in verify_k_fold_rule(images, f, 5))
         assert time.monotonic() - start < 10
 
     _report("operator-identities", body)

@@ -11,7 +11,7 @@ PUBLIC_NAMES = {
     "derived_family", "run_chain_verification", "IDENTITIES", "PolyX",
     "apply_Dq", "apply_Sq", "gamma", "structural_polys", "verify_identity",
     "verify_k_fold_rule", "ChainWorkspace", "chain_coeffs", "extract_rn_fg",
-    "verify_final_matches_aw", "AWCalcError",
+    "verify_final_matches_aw", "AWCalcError", "OperatorImages",
 }
 
 

@@ -2,25 +2,43 @@
 
 import hashlib
 import json
-import os
+import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from awcalc import build_family, cli, make_qcontext, params_from_sigmas, qoperators
+from awcalc import (
+    PolyX,
+    build_family,
+    cli,
+    make_qcontext,
+    params_from_sigmas,
+    qoperators,
+)
 from awcalc.askey_wilson import family_to_dict
 from awcalc.cli import main
+from awcalc.qpoly import random_poly
+from helpers import checkout_env
 from fractions import Fraction
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def record_operator_inputs(monkeypatch):
+    """Patch qoperators.apply_Dq/apply_Sq to record the coefficients of
+    every input, in call order, per operator name."""
+    inputs = {"apply_Dq": [], "apply_Sq": []}
+    for name, seen in inputs.items():
+        def recorded(ctx, p, _seen=seen, _real=getattr(qoperators, name)):
+            _seen.append(p.coeffs)
+            return _real(ctx, p)
+        monkeypatch.setattr(qoperators, name, recorded)
+    return inputs
 
 
 class TestVerifyIdentities:
@@ -36,17 +54,61 @@ class TestVerifyIdentities:
         assert all(c["passed"] for c in blob["checks"])
 
     def test_one_trial_applies_each_operator_once_per_image(self, monkeypatch, capsys):
-        # 10 D and 10 S for the four identities, then D^j f and D^j (x f)
-        # for j <= 5 and one S per k for the k-fold rule
-        calls = {"apply_Dq": 0, "apply_Sq": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(qoperators, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(qoperators, name, counted)
+        # D of f, g, f*g, S f, D f .. D^4 f and x f .. D^4 (x f);
+        # S of f, g, f*g, S f and D f .. D^4 f
+        inputs = record_operator_inputs(monkeypatch)
         argv = ["verify-identities", "--qsqrt", "1/3", "--trials", "1", "--seed", "3"]
         assert run(argv, capsys)[0] == 0
-        assert calls == {"apply_Dq": 20, "apply_Sq": 15}
+        assert {name: len(seen) for name, seen in inputs.items()} == {
+            "apply_Dq": 13, "apply_Sq": 8}
+        for seen in inputs.values():
+            assert len(set(seen)) == len(seen)
+
+    def test_no_image_table_outlives_its_trial(self, monkeypatch, capsys):
+        # every trial redraws the first trial's f and g, so a table kept
+        # from one trial would answer every image of the next
+        drawn = []
+
+        def first_pair_again(rng, max_degree):
+            i = len(drawn)
+            drawn.append(random_poly(rng, max_degree) if i < 2 else drawn[i - 2])
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "random_poly", first_pair_again)
+        counts = {}
+        for trials in (1, 2):
+            drawn.clear()
+            with monkeypatch.context() as patch:
+                inputs = record_operator_inputs(patch)
+                argv = ["verify-identities", "--qsqrt", "1/3",
+                        "--trials", str(trials), "--seed", "3"]
+                assert run(argv, capsys)[0] == 0
+            counts[trials] = {name: len(seen) for name, seen in inputs.items()}
+        assert counts[2] == {name: 2 * n for name, n in counts[1].items()}
+
+    def test_corrupt_shared_image_fails_the_checks(self, monkeypatch, capsys):
+        # the table hands out D f + x for every read of D f in a trial: the
+        # records built on it must fail, not pass on a consistent wrong value
+        drawn = []
+
+        def recorded_draw(rng, max_degree):
+            drawn.append(random_poly(rng, max_degree))
+            return drawn[-1]
+
+        class CorruptDf(qoperators.OperatorImages):
+            def D(self, p):
+                image = super().D(p)
+                return image + PolyX.x() if p == drawn[-2] else image
+
+        monkeypatch.setattr(cli, "random_poly", recorded_draw)
+        monkeypatch.setattr(cli, "OperatorImages", CorruptDf)
+        argv = ["verify-identities", "--qsqrt", "1/3", "--trials", "1", "--seed", "3"]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and err == ""
+        witness = {rec["name"]: rec["witness"]
+                   for rec in json.loads(out)["checks"] if not rec["passed"]}
+        for name in ("product_D", "DS_commute"):
+            assert re.fullmatch(r"deg=\d+;lead=-?\d+(/\d+)?", witness[name])
 
     def test_deterministic_output(self, capsys):
         argv = ["verify-identities", "--qsqrt", "1/3", "--trials", "4", "--seed", "11"]
@@ -345,11 +407,8 @@ GOLDEN_OUTPUTS = [
 @pytest.mark.parametrize("argv,digest", GOLDEN_OUTPUTS,
                          ids=[argv[0] for argv, _ in GOLDEN_OUTPUTS])
 def test_output_bytes_are_pinned(argv, digest):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-m", "awcalc", *argv],
-                          capture_output=True, env=env)
+                          capture_output=True, env=checkout_env())
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == digest
 
@@ -357,8 +416,9 @@ def test_output_bytes_are_pinned(argv, digest):
 def test_module_entrypoint_is_byte_deterministic(tmp_path):
     argv = [sys.executable, "-m", "awcalc", "verify-identities",
             "--qsqrt", "1/2", "--trials", "2", "--seed", "3"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    env = checkout_env()
+    first = subprocess.run(argv, capture_output=True, env=env)
+    second = subprocess.run(argv, capture_output=True, env=env)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")

@@ -2,11 +2,12 @@
 the same bytes as before."""
 
 import hashlib
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import checkout_env
 
 ROOT = Path(__file__).resolve().parent.parent
 # sha256 of each demo's stdout; any change to what a demo prints shows here
@@ -19,11 +20,8 @@ DEMO_STDOUT = {
 
 
 def run_demo(name: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=checkout_env())
     assert done.returncode == 0, done.stderr
     digest = hashlib.sha256(done.stdout.encode()).hexdigest()
     assert digest == DEMO_STDOUT[name], done.stdout

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from awcalc import (
     IDENTITIES,
+    OperatorImages,
     PolyX,
     apply_Dq,
     apply_Sq,
@@ -92,7 +93,7 @@ class TestIdentities:
     @given(contexts, polys, polys, st.sampled_from(IDENTITIES))
     @settings(max_examples=50)
     def test_pass_on_arbitrary_inputs(self, ctx, f, g, which):
-        res = verify_identity(ctx, which, f, g=g)
+        res = verify_identity(OperatorImages(ctx), which, f, g=g)
         assert res.passed
         assert res.name == which
         assert res.residual == PolyX.zero()
@@ -100,24 +101,37 @@ class TestIdentities:
     @given(contexts, polys, st.integers(1, 5))
     @settings(max_examples=40)
     def test_k_fold_rule(self, ctx, f, kmax):
-        results = verify_k_fold_rule(ctx, f, kmax)
+        results = verify_k_fold_rule(OperatorImages(ctx), f, kmax)
         assert [res.name for res in results] == [
             f"kfold_k{k}" for k in range(1, kmax + 1)]
         assert all(res.passed for res in results)
 
     def test_unknown_identity_rejected(self):
-        ctx = make_qcontext(Fraction(1, 2))
+        images = OperatorImages(make_qcontext(Fraction(1, 2)))
         with pytest.raises(UsageError):
-            verify_identity(ctx, "chain_rule", PolyX.x())
+            verify_identity(images, "chain_rule", PolyX.x())
 
     def test_two_argument_identities_need_g(self):
-        ctx = make_qcontext(Fraction(1, 2))
+        images = OperatorImages(make_qcontext(Fraction(1, 2)))
         with pytest.raises(UsageError):
-            verify_identity(ctx, "product_D", PolyX.x())
+            verify_identity(images, "product_D", PolyX.x())
         # single-argument ones must not require it
-        assert verify_identity(ctx, "S_squared", PolyX.x()).passed
+        assert verify_identity(images, "S_squared", PolyX.x()).passed
 
     def test_k_fold_rejects_nonpositive_k(self):
-        ctx = make_qcontext(Fraction(1, 2))
+        images = OperatorImages(make_qcontext(Fraction(1, 2)))
         with pytest.raises(UsageError):
-            verify_k_fold_rule(ctx, PolyX.x(), 0)
+            verify_k_fold_rule(images, PolyX.x(), 0)
+
+
+class TestOperatorImages:
+    @given(contexts, polys)
+    @settings(max_examples=30)
+    def test_images_are_the_operators_applied_once(self, ctx, p):
+        images = OperatorImages(ctx)
+        assert images.D(p) == apply_Dq(ctx, p)
+        assert images.S(p) == apply_Sq(ctx, p)
+        # an equal polynomial built anew reads the stored image
+        same = PolyX(p.coeffs)
+        assert images.D(same) is images.D(p)
+        assert images.S(same) is images.S(p)
