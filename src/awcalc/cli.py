@@ -12,7 +12,9 @@ Three subcommands:
 Exit codes: 0 when every check passed, 1 when at least one verification
 failed, 2 for malformed input, inadmissible parameters, a family file that
 cannot be read, an --out path that cannot be written or a run that would
-check nothing. All output is byte-deterministic for fixed arguments.
+check nothing, 3 for an internal fault (any other exception, reported on
+one line without a traceback). All output is byte-deterministic for fixed
+arguments.
 """
 
 from __future__ import annotations
@@ -275,6 +277,10 @@ def main(argv=None) -> int:
     except AWCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # exit 1 must keep meaning "a check failed", so a bug gets its own code
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.out is not None:
         try:
             Path(args.out).write_text(text)

@@ -15,13 +15,12 @@ from_laurent are exact inverses. Operators that are awkward in x are
 diagonal or near-diagonal in this basis, which is why it exists.
 
 resultant() decides whether two polynomials share a root without ever
-leaving Q: it clears denominators and runs a fraction-free determinant on
-the Sylvester matrix.
+leaving Q: it runs Euclid's remainder sequence on the coefficient lists
+and collects the leading-coefficient powers the sequence sheds.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,45 +279,20 @@ def from_laurent(lp: LaurentSym) -> PolyX:
     return out
 
 
-def _lcm_denominator(p: PolyX) -> int:
-    d = 1
-    for c in p.coeffs:
-        d = d * c.denominator // math.gcd(d, c.denominator)
-    return d
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact integer determinant."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def resultant(p: PolyX, r: PolyX) -> Rational:
     """Resultant of p and r; zero exactly when they share a root over the
     algebraic closure.
 
-    Sylvester layout: deg(p) shifted rows of r's descending coefficients,
-    then deg(r) shifted rows of p's. Constants are handled by the usual
-    convention value^(degree of the other); two constants give 1.
+    The value is the textbook Res(r, p) = lc(r)^(deg p) * prod p(rho) over
+    the roots rho of r, which is (-1)^(deg p * deg r) * Res(p, r). It
+    comes from Euclid's remainder sequence over Q started at
+    (a, b) = (r, p): each step divides a = b*q + c and uses
+
+        Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg c) * Res(b, c),
+
+    ending at 0 when a remainder vanishes and at lc(b)^(deg a) when b is a
+    constant. So a constant gives value^(degree of the other), and two
+    constants give 1.
 
     >>> resultant(PolyX.x(), PolyX((-1, 1)))
     Fraction(1, 1)
@@ -328,20 +302,24 @@ def resultant(p: PolyX, r: PolyX) -> Rational:
     """
     if not p or not r:
         raise DomainError("resultant of the zero polynomial is undefined")
-    dp, dr = p.degree, r.degree
-    if dp == 0:
-        return p.coeffs[0] ** dr
-    if dr == 0:
-        return r.coeffs[0] ** dp
-    mp = _lcm_denominator(p)
-    mr = _lcm_denominator(r)
-    pint = [int(c * mp) for c in reversed(p.coeffs)]
-    rint = [int(c * mr) for c in reversed(r.coeffs)]
-    size = dp + dr
-    rows: list[list[int]] = []
-    for shift in range(dp):
-        rows.append([0] * shift + rint + [0] * (size - shift - len(rint)))
-    for shift in range(dr):
-        rows.append([0] * shift + pint + [0] * (size - shift - len(pint)))
-    det = _bareiss_det(rows)
-    return Fraction(det, mr ** dp * mp ** dr)
+    a, b = list(r.coeffs), list(p.coeffs)
+    acc = Fraction(1)
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        lead = b[-1]
+        # a := a mod b, top coefficient first; the low db entries remain
+        for top in range(da, db - 1, -1):
+            f = a[top] / lead
+            if f:
+                for j in range(db):
+                    a[top - db + j] -= f * b[j]
+        del a[db:]
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            return Fraction(0)
+        if da * db % 2:
+            acc = -acc
+        acc *= lead ** (da - (len(a) - 1))
+        a, b = b, a
+    return acc * b[0] ** (len(a) - 1)

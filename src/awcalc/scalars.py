@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,7 +45,11 @@ def parse_rational(text: str) -> Rational:
     """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise UsageError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # past the interpreter's int/str digit limit
+        num, _, den = text.partition("/")
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def as_rational(value) -> Rational:
@@ -65,8 +70,18 @@ def format_rational(value: Rational) -> str:
     '5'
     """
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_text(value.numerator)
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    """Decimal digits of n. str() refuses ints past the interpreter's digit
+    limit (sys.get_int_max_str_digits); Decimal converts any size exactly,
+    and leaves that interpreter-wide setting alone."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 @dataclass(frozen=True)
@@ -100,7 +115,7 @@ def make_qcontext(v: Rational | int | str) -> QContext:
         v = parse_rational(v)
     v = Fraction(v)
     if not (0 < v < 1):
-        raise DomainError(f"v must satisfy 0 < v < 1, got {v}")
+        raise DomainError(f"v must satisfy 0 < v < 1, got {format_rational(v)}")
     return QContext(v=v)
 
 

@@ -14,10 +14,18 @@ normalisation and the k-fold D of the derived families' definition), and
 chain_coeffs_by_elimination, which re-derives
 every chain display by anchored elimination on the ladder rows, with no
 closed forms, and must agree with proof_engine.chain_coeffs exactly.
+
+sylvester_resultant is the resultant as a determinant: it clears
+denominators, lays out the Sylvester matrix and runs fraction-free
+(Bareiss) elimination on it. qpoly.resultant gets the same value from
+Euclid's remainder sequence, so the two share no step past the input
+coefficients. The determinant costs O(n^3) big-integer operations, which
+is why it lives here and not in src/.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -228,3 +236,64 @@ def chain_coeffs_by_elimination(dfam, n: int) -> ChainCoeffs:
         Dn=dn, En=en, Fn=fn_scalar, Fnext=fnext,
         Dtilde=dtilde, Etilde=etilde, fn=fn, gn=gn,
     )
+
+
+def _lcm_denominator(p: PolyX) -> int:
+    d = 1
+    for c in p.coeffs:
+        d = d * c.denominator // math.gcd(d, c.denominator)
+    return d
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination; exact integer determinant."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def sylvester_resultant(p: PolyX, r: PolyX) -> Fraction:
+    """Independent oracle for qpoly.resultant, with the same arguments and
+    value.
+
+    Sylvester layout: deg(p) shifted rows of r's descending coefficients,
+    then deg(r) shifted rows of p's. Constants are handled by the usual
+    convention value^(degree of the other); two constants give 1.
+    """
+    if not p or not r:
+        raise DomainError("resultant of the zero polynomial is undefined")
+    dp, dr = p.degree, r.degree
+    if dp == 0:
+        return p.coeffs[0] ** dr
+    if dr == 0:
+        return r.coeffs[0] ** dp
+    mp = _lcm_denominator(p)
+    mr = _lcm_denominator(r)
+    pint = [int(c * mp) for c in reversed(p.coeffs)]
+    rint = [int(c * mr) for c in reversed(r.coeffs)]
+    size = dp + dr
+    rows: list[list[int]] = []
+    for shift in range(dp):
+        rows.append([0] * shift + rint + [0] * (size - shift - len(rint)))
+    for shift in range(dr):
+        rows.append([0] * shift + pint + [0] * (size - shift - len(pint)))
+    det = _bareiss_det(rows)
+    return Fraction(det, mr ** dp * mp ** dr)

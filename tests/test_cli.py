@@ -19,7 +19,7 @@ from awcalc import (
 from awcalc.askey_wilson import family_to_dict
 from awcalc.cli import main
 from awcalc.qpoly import random_poly
-from helpers import checkout_env
+from helpers import SET_C, checkout_env
 from fractions import Fraction
 
 
@@ -164,6 +164,19 @@ class TestBuildFamily:
         spaced = run(head + [flag, values], capsys)
         glued = run(head + [f"{flag}={values}"], capsys)
         assert spaced[0] == 0 and spaced == glued
+
+    def test_rationals_past_the_int_str_digit_limit(self, capsys):
+        ones = "1" * 5000
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(
+            ["build-family", "--qsqrt", "1/2", "--sigmas", f"0,0,0,{ones}",
+             "--nmax", "2"],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads(out)["sigmas"] == ["0", "0", "0", ones]
+        # rendering big rationals must not lift the interpreter-wide limit
+        assert sys.get_int_max_str_digits() == limit
 
     def test_out_flag_writes_the_file(self, tmp_path, capsys):
         target = tmp_path / "fam.json"
@@ -374,6 +387,17 @@ class TestVerifyChain:
             assert code == 2 and err.startswith("error: cannot read family file: ")
 
 
+def test_internal_fault_is_one_line_and_exit_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "_run_build", broken)
+    code, out, err = run(
+        ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal fault: RuntimeError: boom\n"
+
+
 class TestParser:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 2
@@ -411,6 +435,21 @@ def test_output_bytes_are_pinned(argv, digest):
                           capture_output=True, env=checkout_env())
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+def test_chain_runs_past_the_int_str_digit_limit():
+    # the no_common_zeros witnesses of P^[k]_12 run past 4,300 digits
+    vtext, sigtext = SET_C
+    done = subprocess.run(
+        [sys.executable, "-m", "awcalc", "verify-chain", "--qsqrt", vtext,
+         f"--sigmas={sigtext}", "--nmax", "12", "--k", "1,2,3"],
+        capture_output=True, env=checkout_env())
+    assert done.returncode == 0, done.stderr
+    checks = json.loads(done.stdout)["checks"]
+    assert all(c["passed"] for c in checks)
+    digits = [len(part) for c in checks if c["name"] == "no_common_zeros"
+              for part in c["witness"].lstrip("-").split("/")]
+    assert max(digits) > 4300
 
 
 def test_module_entrypoint_is_byte_deterministic(tmp_path):

@@ -4,16 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from awcalc import PolyX
 from awcalc.errors import DomainError
+from awcalc.proof_engine import derived_family
+from awcalc.qoperators import apply_Dq, apply_Sq
 from awcalc.qpoly import LaurentSym, from_laurent, random_poly, resultant, to_laurent
-from helpers import evaluate
+from helpers import SET_C, cached_family, evaluate, sylvester_resultant
 
 coeff = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 polys = st.lists(coeff, max_size=6).map(tuple).map(PolyX)
+# nonzero, of an exact degree 0..5, leading coefficient rarely 1
+nonzero_coeff = coeff.filter(bool)
+nonzero_polys = st.integers(0, 5).flatmap(
+    lambda d: st.tuples(st.lists(coeff, min_size=d, max_size=d), nonzero_coeff)
+    .map(lambda t: PolyX(tuple(t[0]) + (t[1],))))
+linear = st.tuples(coeff, nonzero_coeff).map(PolyX)
 points = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
@@ -115,6 +123,32 @@ class TestResultant:
         if PolyX.zero() in (p1, p2, r):
             return
         assert resultant(p1 * p2, r) == resultant(p1, r) * resultant(p2, r)
+
+    @given(nonzero_polys, nonzero_polys, st.none() | linear)
+    @example(PolyX((1, 2)), PolyX((Fraction(-1, 3), 0, 0, 5)), None)  # odd x odd
+    @example(PolyX.constant(Fraction(-2, 3)), PolyX((1, 0, 0, 4)), None)
+    @example(PolyX((0, 0, 0, 3)), PolyX.constant(Fraction(-2, 3)), None)
+    @example(PolyX.constant(3), PolyX.constant(7), None)
+    def test_agrees_with_the_sylvester_determinant(self, p, r, shared):
+        """Euclid's sequence against the Sylvester/Bareiss oracle, signs
+        included; a shared linear factor must give 0 under both."""
+        if shared is not None:
+            p, r = p * shared, r * shared
+        value = resultant(p, r)
+        assert value == sylvester_resultant(p, r)
+        if shared is not None:
+            assert value == 0
+
+    def test_agrees_with_the_sylvester_determinant_on_chain_images(self):
+        # the pairs no_common_zeros certifies: D and S images of P^[1]_n
+        base = cached_family(*SET_C, 15)
+        dfam = derived_family(base, 1)
+        for n in range(1, 13):
+            p = dfam.poly(n)
+            dp, sp = apply_Dq(base.ctx, p), apply_Sq(base.ctx, p)
+            value = resultant(dp, sp)
+            assert value != 0
+            assert value == sylvester_resultant(dp, sp)
 
 
 class TestRandomPoly:

@@ -40,6 +40,15 @@ class TestParseRational:
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
 
+    def test_past_the_int_str_digit_limit(self):
+        # 5,000 digits each side: more than str()/int() take by default
+        p = 7 * (10**5000 - 1) // 9
+        q = 10**4999 + 3
+        for x in (Fraction(p, q), Fraction(-p)):
+            text = format_rational(x)
+            assert len(text.lstrip("-").partition("/")[0]) == 5000
+            assert parse_rational(text) == x
+
     def test_format_integer_has_no_slash(self):
         assert format_rational(Fraction(-4)) == "-4"
         assert format_rational(Fraction(6, 3)) == "2"
@@ -51,7 +60,8 @@ class TestQContext:
         assert ctx.q == Fraction(1, 4)
         assert ctx.alpha == Fraction(5, 4)
 
-    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)])
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2),
+                                     Fraction(10**5000)])
     def test_rejects_bad_v(self, bad):
         with pytest.raises(DomainError):
             make_qcontext(bad)
