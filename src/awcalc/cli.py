@@ -12,9 +12,9 @@ Three subcommands:
 Exit codes: 0 when every check passed, 1 when at least one verification
 failed, 2 for malformed input, inadmissible parameters, a family file that
 cannot be read, an --out path that cannot be written or a run that would
-check nothing, 3 for an internal fault (any other exception, reported on
-one line without a traceback). All output is byte-deterministic for fixed
-arguments.
+check nothing, 3 for an internal fault (an InternalError or any exception
+awcalc does not raise on purpose, reported on one line without a
+traceback). All output is byte-deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .askey_wilson import (
     params_from_roots,
     params_from_sigmas,
 )
-from .errors import AWCalcError, DomainError, UsageError
+from .errors import AWCalcError, DomainError, InternalError, UsageError
 from .proof_engine import (
     CheckRecord,
     ProofReport,
@@ -274,10 +274,10 @@ def main(argv=None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AWCalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
+        if isinstance(exc, AWCalcError) and not isinstance(exc, InternalError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         # exit 1 must keep meaning "a check failed", so a bug gets its own code
         print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -45,11 +45,10 @@ def parse_rational(text: str) -> Rational:
     """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise UsageError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(text)
-    except ValueError:  # past the interpreter's int/str digit limit
-        num, _, den = text.partition("/")
-        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+    # through Decimal, not int(text) or Fraction(text): those refuse digit
+    # strings past the interpreter's int/str limit, Decimal reads any length
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def as_rational(value) -> Rational:
@@ -69,19 +68,13 @@ def format_rational(value: Rational) -> str:
     >>> format_rational(Fraction(5))
     '5'
     """
+    # str() of an int refuses past the interpreter's int/str digit limit
+    # (sys.get_int_max_str_digits); Decimal renders any size exactly and
+    # leaves that interpreter-wide setting alone
+    num = str(Decimal(value.numerator))
     if value.denominator == 1:
-        return _int_text(value.numerator)
-    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
-
-
-def _int_text(n: int) -> str:
-    """Decimal digits of n. str() refuses ints past the interpreter's digit
-    limit (sys.get_int_max_str_digits); Decimal converts any size exactly,
-    and leaves that interpreter-wide setting alone."""
-    try:
-        return str(n)
-    except ValueError:
-        return str(Decimal(n))
+        return num
+    return num + "/" + str(Decimal(value.denominator))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from awcalc import (
 )
 from awcalc.askey_wilson import family_to_dict
 from awcalc.cli import main
+from awcalc.errors import InternalError, OrthogonalityBroken
 from awcalc.qpoly import random_poly
 from helpers import SET_C, checkout_env
 from fractions import Fraction
@@ -387,15 +388,19 @@ class TestVerifyChain:
             assert code == 2 and err.startswith("error: cannot read family file: ")
 
 
-def test_internal_fault_is_one_line_and_exit_3(monkeypatch, capsys):
+@pytest.mark.parametrize("error, code, line", [
+    (RuntimeError, 3, "error: internal fault: RuntimeError: boom\n"),
+    (InternalError, 3, "error: internal fault: InternalError: boom\n"),
+    (OrthogonalityBroken, 1, "error: boom\n"),
+], ids=["RuntimeError", "InternalError", "OrthogonalityBroken"])
+def test_runner_error_exit_code(monkeypatch, capsys, error, code, line):
+    # a bug, raised by awcalc (InternalError) or not, exits 3 on one line;
+    # the other AWCalcErrors are verification errors and keep exit 1
     def broken(args):
-        raise RuntimeError("boom")
+        raise error("boom")
     monkeypatch.setattr(cli, "_run_build", broken)
-    code, out, err = run(
-        ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0"], capsys)
-    assert code == 3
-    assert out == ""
-    assert err == "error: internal fault: RuntimeError: boom\n"
+    assert run(["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0"],
+               capsys) == (code, "", line)
 
 
 class TestParser:
