@@ -218,9 +218,13 @@ class Ladder:
         return self.C[n - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AWFamily(Ladder):
-    """Monic solutions p_0..p_N with their recurrence data."""
+    """Monic solutions p_0..p_N with their recurrence data.
+
+    Families hash and compare by identity: a cache keyed on a family costs
+    O(1) per lookup instead of a walk over every coefficient. Two builds
+    from equal arguments are distinct keys that give equal reports."""
 
     ctx: QContext
     params: AWParams

@@ -94,10 +94,11 @@ from .qoperators import (
 from .qpoly import PolyX, resultant
 from .scalars import QContext, Rational, alpha_k, format_rational, gamma
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivedFamily(Ladder):
     """P[k]_0..P[k]_M with the recurrence data extracted from the
-    polynomials themselves (same layout as AWFamily)."""
+    polynomials themselves (same layout as AWFamily). Hashed and compared
+    by identity, like AWFamily."""
 
     k: int
     base: AWFamily
@@ -116,7 +117,11 @@ def derived_family(base: AWFamily, k: int) -> DerivedFamily:
     supports. k = 0 wraps the base itself, so code walking the ladder can
     treat P[0] uniformly. Order k >= 1 is built from order k-1 as
     P[k]_n = D P[k-1]_(n+1) / gamma_(n+1); a ladder that breaks the
-    three-term recurrence raises OrthogonalityBroken naming its order."""
+    three-term recurrence raises OrthogonalityBroken naming its order.
+
+    Cached per (base, k), with the base keyed by identity: a lookup costs
+    O(1) whatever the size of the base, and a second family built from
+    equal arguments gets entries of its own."""
     if k < 0:
         raise UsageError(f"derivation order must be >= 0, got {k}")
     top = base.N - k
@@ -172,7 +177,8 @@ def _coeff_F(dfam: DerivedFamily, m: int) -> Rational:
     )
 
 
-# keyed by value, never by a ChainWorkspace, so that no run is pinned here
+# keyed by the identity of the derived family, never by a ChainWorkspace,
+# so that no run is pinned here
 @lru_cache(maxsize=None)
 def chain_coeffs(dfam: DerivedFamily, n: int) -> ChainCoeffs:
     """Closed-form chain displays; valid for 2 <= n <= min(M-1, N-1-k)."""
@@ -281,7 +287,7 @@ class ChainWorkspace:
     through apply_Sq and kept; D, D2 and SD are read off the ladder without
     applying D (see the module docstring), with explicit zeros where the
     index leaves the ladder. Each order is fetched once through
-    derived_family, whose cache key rehashes the whole base. A workspace
+    derived_family, keyed by the identity of the base. A workspace
     belongs to one base family and lives for one run;
     run_chain_verification creates it.
     """

@@ -21,6 +21,10 @@ denominators, lays out the Sylvester matrix and runs fraction-free
 Euclid's remainder sequence, so the two share no step past the input
 coefficients. The determinant costs O(n^3) big-integer operations, which
 is why it lives here and not in src/.
+
+qsqrts and sigma_vectors are the Hypothesis strategies for random
+parameter points: v = q^(1/2) in (0, 1) and sigma vectors, both with small
+numerators and denominators so that a family of modest size builds fast.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from awcalc import build_family, make_qcontext, params_from_sigmas
 from awcalc.errors import DomainError, InternalError
@@ -52,6 +58,13 @@ def checkout_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return env
+
+
+qsqrts = st.integers(2, 7).flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda num: Fraction(num, den)))
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+sigma_vectors = st.tuples(small_rationals, small_rationals, small_rationals,
+                          small_rationals)
 
 
 @lru_cache(maxsize=None)

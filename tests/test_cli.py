@@ -1,12 +1,17 @@
 """Command-line interface: wire formats, determinism, exit codes."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awcalc import (
     PolyX,
@@ -20,7 +25,8 @@ from awcalc.askey_wilson import family_to_dict
 from awcalc.cli import main
 from awcalc.errors import InternalError, OrthogonalityBroken
 from awcalc.qpoly import random_poly
-from helpers import SET_C, checkout_env
+from awcalc.scalars import format_rational
+from helpers import SET_C, checkout_env, qsqrts, sigma_vectors
 from fractions import Fraction
 
 
@@ -243,6 +249,22 @@ class TestVerifyChain:
         assert code == 0
         assert all(c["passed"] for c in json.loads(out)["checks"])
 
+    def test_family_file_gives_the_report_of_fresh_parameters(self, tmp_path, capsys):
+        # a loaded family and a built one meet here: both runs have N = 7
+        fam_path = tmp_path / "fam.json"
+        run(
+            ["build-family", "--qsqrt", "1/2", "--sigmas=11/30,-2/15,-1/30,0",
+             "--nmax", "7", "--out", str(fam_path)],
+            capsys,
+        )
+        loaded = run(["verify-chain", "--family", str(fam_path), "--nmax", "4",
+                      "--k", "1"], capsys)
+        fresh = run(["verify-chain", "--qsqrt", "1/2",
+                     "--sigmas=11/30,-2/15,-1/30,0", "--nmax", "4", "--k", "1"],
+                    capsys)
+        assert fresh[0] == 0
+        assert loaded == fresh
+
     def test_corrupt_family_fails_checks_not_usage(self, tmp_path, capsys):
         fam_path = tmp_path / "fam.json"
         run(
@@ -401,6 +423,138 @@ def test_runner_error_exit_code(monkeypatch, capsys, error, code, line):
     monkeypatch.setattr(cli, "_run_build", broken)
     assert run(["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0"],
                capsys) == (code, "", line)
+
+
+# argv fuzz. Caps keep every call short: --nmax at most 6 (a chain run then
+# builds N <= 11), --trials at most 2, --k at most 3, family files of N = 6.
+
+
+def mostly(valid, malformed):
+    """Draw from valid three times in four, else from malformed."""
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda ok: valid if ok else malformed)
+
+
+RATIONAL_TEXTS = st.one_of(
+    st.sampled_from(["1/2", "2/3", "0", "1", "-1/3", "7/5", "1/0", "0/0", "3/-4",
+                     "+1/2", "1.5", "1e3", " 1/2", "1//2", "", "-", "/",
+                     "10" * 30, "-1/" + "7" * 40]),
+    st.text(alphabet="0123456789/-+.e ", max_size=6),
+)
+MALFORMED_COUNTS = st.sampled_from(["", "x", "2.5", "1e1", "-1", "-0", " 3", "+1",
+                                    "0", "1"])
+FOUR_TEXTS = mostly(
+    sigma_vectors.map(lambda s: ",".join(format_rational(x) for x in s)),
+    st.lists(RATIONAL_TEXTS, min_size=3, max_size=5).map(",".join),
+)
+FAMILY_BLOB = family_to_dict(
+    build_family(make_qcontext(Fraction(1, 2)), params_from_sigmas(0, 0, 0, 0), 6))
+# copied, so that no drawn list is shared between examples or with itself
+MISTYPED = st.sampled_from(
+    [None, True, -1, 0, 7, 10**30, 1.5, "x", "1/2", "1/3", [], ["1/2"], {}, [[]]]
+).map(copy.deepcopy)
+
+
+@st.composite
+def family_files(draw):
+    """Bytes of a family file: FAMILY_BLOB with keys dropped, added or
+    retyped, list entries retyped, and sometimes cut short or not UTF-8."""
+    blob = json.loads(json.dumps(FAMILY_BLOB))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(FAMILY_BLOB) + ["extra"]))
+        action = draw(st.sampled_from(["drop", "retype", "entry", "nested"]))
+        value = draw(MISTYPED)
+        target = blob.get(key)
+        if action == "drop":
+            blob.pop(key, None)
+        elif action == "retype" or not isinstance(target, list) or not target:
+            blob[key] = value
+        else:
+            i = draw(st.integers(0, len(target) - 1))
+            if action == "nested" and isinstance(target[i], list) and target[i]:
+                target[i][draw(st.integers(0, len(target[i]) - 1))] = value
+            else:
+                target[i] = value
+    data = json.dumps(blob).encode()
+    return draw(st.sampled_from([data, data, data[: len(data) // 2], b"\xff" + data]))
+
+
+FLAG_VALUES = {
+    "--qsqrt": mostly(qsqrts.map(format_rational), RATIONAL_TEXTS),
+    "--sigmas": FOUR_TEXTS,
+    "--params": FOUR_TEXTS,
+    "--nmax": mostly(st.integers(2, 6).map(str), MALFORMED_COUNTS),
+    "--trials": mostly(st.integers(1, 2).map(str), MALFORMED_COUNTS),
+    "--seed": mostly(st.integers(0, 10**30).map(str), MALFORMED_COUNTS),
+    "--k": mostly(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+            lambda ks: ",".join(map(str, ks))),
+        st.one_of(st.sampled_from(["", "a", "0", "-1", "1,,2", ",", " 1", "1.0", "+2"]),
+                  st.lists(st.integers(-1, 3), max_size=3).map(
+                      lambda ks: ",".join(map(str, ks))))),
+    "--format": mostly(st.sampled_from(["json", "text"]), st.sampled_from(["xml", ""])),
+    # bytes stand for a family file with that content
+    "--family": mostly(family_files(), st.just("no/such/family.json")),
+}
+# where the parameters come from, malformed combinations included
+SOURCES = {
+    "verify-identities": [("--qsqrt",)],
+    "build-family": [("--qsqrt", "--sigmas"), ("--qsqrt", "--params"),
+                     ("--qsqrt", "--params", "--sigmas")],
+    "verify-chain": [("--qsqrt", "--sigmas"), ("--qsqrt", "--params"),
+                     ("--family",), ("--family", "--qsqrt"),
+                     ("--qsqrt", "--params", "--sigmas")],
+}
+# always given, since the defaults (20 trials, nmax 8) are past the caps
+CAPPED = {
+    "verify-identities": ("--trials",),
+    "build-family": ("--nmax",),
+    "verify-chain": ("--nmax",),
+}
+OPTIONS = {
+    "verify-identities": ("--seed", "--format"),
+    "build-family": (),
+    "verify-chain": ("--k", "--format"),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SOURCES)))
+    names = list(draw(st.sampled_from(SOURCES[command]))) + list(CAPPED[command])
+    names += [name for name in OPTIONS[command] if draw(st.booleans())]
+    argv = [command]
+    for name in names:
+        argv += [name, draw(FLAG_VALUES[name])]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def family_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("families")
+
+
+@given(argv=argvs())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_no_input_is_an_internal_fault(family_dir, argv):
+    for i, value in enumerate(argv):
+        if isinstance(value, bytes):
+            path = family_dir / "family.json"
+            path.write_bytes(value)
+            argv[i] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    lines = err.splitlines()
+    errors = [line for line in lines if "error: " in line]
+    # main prints one "error: " line; argparse prints its usage lines first
+    assert err == "" or (len(errors) == 1 and lines[-1] == errors[0] and (
+        len(lines) == 1 or lines[0].startswith("usage: "))), (argv, err)
 
 
 class TestParser:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from awcalc import (
     ChainWorkspace,
@@ -21,8 +22,10 @@ from awcalc import (
 )
 from awcalc import proof_engine, qoperators
 from awcalc.errors import (
+    DegenerateParams,
     DependencyError,
     DomainError,
+    EigenvalueCollision,
     NoRationalMatch,
     ProportionalityFailure,
     UsageError,
@@ -48,6 +51,8 @@ from helpers import (
     chain_coeffs_by_elimination,
     dq_power,
     gamma_factorial,
+    qsqrts,
+    sigma_vectors,
 )
 
 QH8 = cached_family("1/2", "0,0,0,0", 8)
@@ -370,6 +375,51 @@ class TestRunChainVerification:
         once = run_chain_verification(QH8, [2], 4)
         twice = run_chain_verification(QH8, [2, 2], 4)
         assert once.checks == twice.checks
+
+
+# the paper's claim at random parameter points: every derived family up to
+# k = 3 passes the whole chain, unless the base cannot be built at all. A
+# point takes about 0.1 s, past Hypothesis' default deadline.
+@given(qsqrts, sigma_vectors)
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_chain_passes_at_random_parameters(v, sigmas):
+    try:
+        base = build_family(make_qcontext(v), params_from_sigmas(*sigmas), 8)
+    except (DegenerateParams, EigenvalueCollision):
+        return
+    report = run_chain_verification(base, [1, 2, 3], 6)
+    assert [c for c in report.checks if not c.passed] == []
+
+
+class TestIdentityKeys:
+    # families hash and compare by identity, so a cache lookup never walks
+    # their coefficients
+
+    def test_cached_lookups_hash_no_fraction(self, monkeypatch):
+        dfam = derived_family(B8, 1)
+        chain_coeffs(dfam, 3)
+        calls = []
+
+        def counting(self, _hash=Fraction.__hash__):
+            calls.append(1)
+            return _hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        hash(B8)
+        hash(derived_family(B8, 1))
+        chain_coeffs(derived_family(B8, 1), 3)
+        assert len(calls) == 0
+
+    def test_equal_builds_are_distinct_keys_with_equal_reports(self):
+        ctx = make_qcontext(Fraction(1, 2))
+        params = params_from_sigmas(Fraction(11, 30), Fraction(-2, 15),
+                                    Fraction(-1, 30), 0)
+        first = build_family(ctx, params, 7)
+        second = build_family(ctx, params, 7)
+        assert first != second and first.polys == second.polys
+        assert derived_family(first, 1) is not derived_family(second, 1)
+        assert report_to_dict(run_chain_verification(first, [1, 2], 4)) \
+            == report_to_dict(run_chain_verification(second, [1, 2], 4))
 
 
 def _operator_inputs_of_a_run(monkeypatch):
