@@ -26,6 +26,7 @@ import os
 import random
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .askey_wilson import (
@@ -40,9 +41,6 @@ from .proof_engine import (
     CheckRecord,
     ProofReport,
     chain_orders,
-    record_sort_key,
-    report_to_dict,
-    residual_witness,
     run_chain_verification,
 )
 from .qoperators import (
@@ -137,12 +135,7 @@ def _run_identities(args) -> tuple[str, bool]:
         checks = [(None, verify_identity(images, which, f, g))
                   for which in IDENTITIES]
         checks += enumerate(verify_k_fold_rule(images, f, KFOLD_MAX), 1)
-        for k, res in checks:
-            records.append(CheckRecord(
-                name=res.name, k=k, n=t, passed=res.passed,
-                witness=residual_witness(res),
-            ))
-    records.sort(key=record_sort_key)
+        records.extend(CheckRecord.of(res, k, t) for k, res in checks)
     context = {
         "v": format_rational(ctx.v),
         "trials": args.trials,
@@ -187,7 +180,7 @@ def _run_chain(args) -> tuple[str, bool]:
 
 def _render(report: ProofReport, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2) + "\n"
+        return json.dumps(asdict(report), indent=2) + "\n"
     lines = [f"# {json.dumps(report.context)}"]
     for rec in report.checks:
         kpart = f" k={rec.k}" if rec.k is not None else ""

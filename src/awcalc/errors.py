@@ -42,11 +42,6 @@ class OrthogonalityBroken(AWCalcError):
     """A three-term recurrence invariant failed while building a family."""
 
 
-class DependencyError(AWCalcError):
-    """A verification stage was invoked without a result it depends on
-    (e.g. the final chain equation before coefficient extraction)."""
-
-
 class ProportionalityFailure(AWCalcError):
     """The (f_n, g_n) pairs of the chain are not a common rational multiple
     of a single (f, g), or the anchor pair is identically zero."""

@@ -77,7 +77,6 @@ from .askey_wilson import (
     three_term_data,
 )
 from .errors import (
-    DependencyError,
     DomainError,
     InternalError,
     NoRationalMatch,
@@ -430,13 +429,14 @@ def verify_chain_equation(
 
     The residual is an exact polynomial; passed means it is identically
     zero. eq_final additionally reports the eigenvalue it read off the
-    leading coefficient in the witness field.
+    leading coefficient in the witness field, and without the extraction
+    it is a UsageError.
     """
     if which not in CHAIN_EQUATIONS:
         raise UsageError(f"unknown chain equation {which!r}")
-    if which == "eq_final" and extraction is None:
-        raise DependencyError("eq_final needs the extracted coefficient pair")
     if which == "eq_final":
+        if extraction is None:
+            raise UsageError("eq_final needs the extracted coefficient pair")
         j = k - 1
         h = extraction.f * ws.D2(j, n) + extraction.g * ws.SD(j, n)
         mu = -h.coeff(n)
@@ -470,7 +470,8 @@ def check_no_common_zeros(dp: PolyX, sp: PolyX) -> OperatorCheckResult:
 @dataclass(frozen=True)
 class CheckRecord:
     """One line of a proof report; k and n are None where they do not
-    apply. witness is already rendered to text for the wire format."""
+    apply. witness is already rendered to text for the wire format, and
+    dataclasses.asdict gives the record's JSON object."""
 
     name: str
     k: int | None
@@ -478,14 +479,22 @@ class CheckRecord:
     passed: bool
     witness: str
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "k": self.k,
-            "n": self.n,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+    @classmethod
+    def of(cls, result: OperatorCheckResult, k: int | None,
+           n: int | None) -> CheckRecord:
+        """The record of one check result. A residual check, eq_final
+        included, is witnessed by "0" or by the degree and leading
+        coefficient of its nonzero residual; a value check by its deciding
+        rational."""
+        if result.residual is None:
+            witness = format_rational(result.witness)
+        elif result.passed:
+            witness = "0"
+        else:
+            lead = format_rational(result.residual.leading)
+            witness = f"deg={result.residual.degree};lead={lead}"
+        return cls(name=result.name, k=k, n=n, passed=result.passed,
+                   witness=witness)
 
 
 def check_nonvanishing(dfam: DerivedFamily, n: int) -> tuple[CheckRecord, ...]:
@@ -561,36 +570,26 @@ def verify_final_matches_aw(
 
 @dataclass(frozen=True)
 class ProofReport:
+    """A run's context and its check records, held in report order: by
+    name, then k, then n, with None before every number. The sort is
+    stable, so records that tie keep the order they were given in.
+    dataclasses.asdict gives the report's JSON object."""
+
     context: dict
     checks: tuple[CheckRecord, ...]
+
+    def __post_init__(self) -> None:
+        # k and n are never negative, so -1 puts None first
+        object.__setattr__(self, "checks", tuple(sorted(
+            self.checks,
+            key=lambda rec: (rec.name,
+                             -1 if rec.k is None else rec.k,
+                             -1 if rec.n is None else rec.n),
+        )))
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def record_sort_key(rec: CheckRecord):
-    return (
-        rec.name,
-        rec.k if rec.k is not None else -1,
-        rec.n if rec.n is not None else -1,
-    )
-
-
-def residual_witness(res: OperatorCheckResult) -> str:
-    """Report witness of a residual check: "0", or the degree and leading
-    coefficient of the nonzero residual."""
-    if res.passed:
-        return "0"
-    lead = format_rational(res.residual.leading)
-    return f"deg={res.residual.degree};lead={lead}"
-
-
-def report_to_dict(report: ProofReport) -> dict:
-    return {
-        "context": dict(report.context),
-        "checks": [c.to_dict() for c in report.checks],
-    }
 
 
 def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:
@@ -609,7 +608,7 @@ def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:
 
     def run_eq(which: str, n: int, extraction=None) -> OperatorCheckResult:
         res = verify_chain_equation(ws, k, which, n, extraction=extraction)
-        add(which, n, res.passed, residual_witness(res))
+        records.append(CheckRecord.of(res, k, n))
         return res
 
     for n in range(1, hi_ladder + 1):
@@ -665,8 +664,8 @@ def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:
         records.extend(check_nonvanishing(dfam, n))
 
     for n in range(1, hi_ladder + 1):
-        res = check_no_common_zeros(ws.D(k, n), ws.S(k, n))
-        add("no_common_zeros", n, res.passed, format_rational(res.witness))
+        records.append(CheckRecord.of(
+            check_no_common_zeros(ws.D(k, n), ws.S(k, n)), k, n))
 
     return records
 
@@ -694,7 +693,7 @@ def chain_orders(k_list: Iterable[int], N: int, n_max: int) -> list[int]:
 def run_chain_verification(
     base: AWFamily, k_list: Iterable[int], n_max: int
 ) -> ProofReport:
-    """Run the whole chain for each k and collect a sorted report.
+    """Run the whole chain for each k and collect the report.
 
     A chain equation or certificate that does not hold becomes a failed
     record. Two things raise instead: bad arguments, including runs that
@@ -706,7 +705,6 @@ def run_chain_verification(
     records: list[CheckRecord] = []
     for k in ks:
         records.extend(_verify_one_k(ws, k, n_max))
-    records.sort(key=record_sort_key)
     context = {
         "v": format_rational(base.ctx.v),
         "sigmas": [format_rational(s) for s in base.params.sigmas],

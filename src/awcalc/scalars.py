@@ -10,7 +10,8 @@ uses, and the small q-number zoo used everywhere downstream:
     gamma_n = (v^n - v^-n) / (v - v^-1)       gamma_0 = 0, gamma_1 = 1
     alpha_k = (v^k + v^-k) / 2                alpha_0 = 1, alpha_1 = alpha
 
-gamma_n > 0 for n >= 1 whenever 0 < v < 1.
+gamma_n > 0 for n >= 1 whenever 0 < v < 1. Each context keeps the q-numbers
+computed at it, keyed by index, so they live exactly as long as the context.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, UsageError
 
@@ -82,12 +82,17 @@ class QContext:
     """A fixed rational base point v = q^(1/2) with 0 < v < 1.
 
     q = v^2 and alpha = (v + 1/v)/2 are precomputed since they appear in
-    every operator application.
+    every operator application. gamma and alpha_k fill the two tables on
+    first use; the tables take no part in equality, hashing or repr.
     """
 
     v: Rational
     q: Rational = field(init=False)
     alpha: Rational = field(init=False)
+    _gammas: dict[int, Rational] = field(
+        init=False, compare=False, repr=False, default_factory=dict)
+    _alpha_ks: dict[int, Rational] = field(
+        init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", self.v * self.v)
@@ -112,19 +117,22 @@ def make_qcontext(v: Rational | int | str) -> QContext:
     return QContext(v=v)
 
 
-@lru_cache(maxsize=None)
 def gamma(ctx: QContext, n: int) -> Rational:
     """The symmetrized q-integer gamma_n = (v^n - v^-n)/(v - 1/v).
 
     gamma_0 = 0, gamma_1 = 1, gamma_{-n} = -gamma_n. Strictly positive and
     strictly increasing for n >= 1.
     """
-    if n == 0:
-        return Fraction(0)
-    return (ctx.v ** n - ctx.v ** -n) / (ctx.v - 1 / ctx.v)
+    table = ctx._gammas
+    if n not in table:
+        table[n] = Fraction(0) if n == 0 else \
+            (ctx.v ** n - ctx.v ** -n) / (ctx.v - 1 / ctx.v)
+    return table[n]
 
 
-@lru_cache(maxsize=None)
 def alpha_k(ctx: QContext, k: int) -> Rational:
     """alpha_k = (v^k + v^-k)/2; even in k, alpha_0 = 1, alpha_1 = ctx.alpha."""
-    return (ctx.v ** k + ctx.v ** -k) / 2
+    table = ctx._alpha_ks
+    if k not in table:
+        table[k] = (ctx.v ** k + ctx.v ** -k) / 2
+    return table[k]

@@ -1,5 +1,8 @@
 """Derived families, chain coefficient displays, and the verification chain."""
 
+import gc
+import weakref
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,6 @@ from awcalc import (
 from awcalc import proof_engine, qoperators
 from awcalc.errors import (
     DegenerateParams,
-    DependencyError,
     DomainError,
     EigenvalueCollision,
     NoRationalMatch,
@@ -35,13 +37,13 @@ from awcalc.proof_engine import (
     AWMatch,
     CheckRecord,
     ExtractionResult,
+    ProofReport,
     _extract_proportional,
     check_no_common_zeros,
     check_nonvanishing,
-    record_sort_key,
-    report_to_dict,
     verify_chain_equation,
 )
+from awcalc.qoperators import OperatorCheckResult
 from awcalc.scalars import alpha_k
 from helpers import (
     PARAM_SETS,
@@ -174,7 +176,7 @@ class TestChainEquations:
         assert res.witness == Fraction(40, 3)
 
     def test_eq_final_requires_extraction(self):
-        with pytest.raises(DependencyError):
+        with pytest.raises(UsageError, match="extracted coefficient pair"):
             verify_chain_equation(ChainWorkspace(QH8), 1, "eq_final", 2)
 
     def test_unknown_equation_rejected(self):
@@ -349,11 +351,10 @@ class TestRunChainVerification:
         assert {"eq1a", "eq1b", "eq3", "eq4", "eq3b", "eq3a", "eq6", "eq7",
                 "eq_final", "proportionality", "lambda_formula", "aw_form_match",
                 "nonzero_F", "no_common_zeros"} <= names
-        assert list(report.checks) == sorted(report.checks, key=record_sort_key)
 
     def test_report_dict_shape(self):
         report = run_chain_verification(QH8, [1], 3)
-        blob = report_to_dict(report)
+        blob = asdict(report)
         assert set(blob) == {"context", "checks"}
         assert all(
             set(c) == {"name", "k", "n", "passed", "witness"} for c in blob["checks"]
@@ -418,8 +419,33 @@ class TestIdentityKeys:
         second = build_family(ctx, params, 7)
         assert first != second and first.polys == second.polys
         assert derived_family(first, 1) is not derived_family(second, 1)
-        assert report_to_dict(run_chain_verification(first, [1, 2], 4)) \
-            == report_to_dict(run_chain_verification(second, [1, 2], 4))
+        assert asdict(run_chain_verification(first, [1, 2], 4)) \
+            == asdict(run_chain_verification(second, [1, 2], 4))
+
+    def test_build_and_chain_hash_no_fraction(self, monkeypatch):
+        # q-numbers are kept on their context, keyed by index, so neither
+        # building a family nor verifying its chain hashes a coefficient
+        calls = []
+
+        def counting(self, _hash=Fraction.__hash__):
+            calls.append(1)
+            return _hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        ctx = make_qcontext(Fraction(1, 3))
+        base = build_family(ctx, params_from_sigmas(Fraction(-3, 2), 2,
+                                                    Fraction(1, 4), -1), 8)
+        assert run_chain_verification(base, [1, 2, 3], 5).all_passed
+        assert len(calls) == 0
+
+    def test_a_dropped_context_is_freed(self):
+        # no module-level cache keeps a context, or its q-numbers, alive
+        ctx = make_qcontext(Fraction(2, 7))
+        build_family(ctx, params_from_sigmas(Fraction(1, 3), 0, 0, 0), 6)
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
 
 
 def _operator_inputs_of_a_run(monkeypatch):
@@ -458,4 +484,65 @@ def test_operator_applications_of_a_run(monkeypatch):
 
 def test_check_record_is_plain_data():
     rec = CheckRecord(name="eq3", k=1, n=4, passed=True, witness="0")
-    assert rec.to_dict() == {"name": "eq3", "k": 1, "n": 4, "passed": True, "witness": "0"}
+    assert asdict(rec) == {"name": "eq3", "k": 1, "n": 4, "passed": True, "witness": "0"}
+
+
+class TestCheckRecordOf:
+    def test_passing_residual(self):
+        res = verify_chain_equation(ChainWorkspace(QH8), 1, "eq3", 3)
+        assert CheckRecord.of(res, 1, 3) == CheckRecord(
+            name="eq3", k=1, n=3, passed=True, witness="0")
+
+    def test_failing_residual(self):
+        res = OperatorCheckResult(name="product_D", passed=False,
+                                  residual=PolyX((1, Fraction(-3, 4))))
+        assert CheckRecord.of(res, None, 0) == CheckRecord(
+            name="product_D", k=None, n=0, passed=False,
+            witness="deg=1;lead=-3/4")
+
+    def test_eq_final_follows_the_residual_rule(self):
+        # the eigenvalue eq_final reads off (40/3 here) goes to
+        # lambda_formula, never into the eq_final record
+        honest = extract_rn_fg(derived_family(QH8, 1), range(2, 7))
+        res = verify_chain_equation(ChainWorkspace(QH8), 1, "eq_final", 2,
+                                    extraction=honest)
+        assert res.witness == Fraction(40, 3)
+        assert CheckRecord.of(res, 1, 2).witness == "0"
+        alien = ExtractionResult(
+            f=PolyX((1, 0, -2)), g=PolyX((0, Fraction(-8, 3))), r={})
+        res = verify_chain_equation(ChainWorkspace(B8), 1, "eq_final", 2,
+                                    extraction=alien)
+        assert res.witness == Fraction(40, 3)
+        assert CheckRecord.of(res, 1, 2) == CheckRecord(
+            name="eq_final", k=1, n=2, passed=False, witness="deg=1;lead=-5/2")
+
+    def test_value_check_gives_its_rational(self):
+        ctx = make_qcontext(Fraction(1, 2))
+        constant = check_no_common_zeros(*_images(ctx, PolyX((1, 2))))
+        assert CheckRecord.of(constant, 1, 1).witness == "2"
+        resultant = check_no_common_zeros(*_images(QH8.ctx, QH8.poly(3)))
+        assert CheckRecord.of(resultant, 1, 3) == CheckRecord(
+            name="no_common_zeros", k=1, n=3, passed=True,
+            witness="-6251175/65536")
+
+
+def _rec(name, k, n, witness="0"):
+    return CheckRecord(name=name, k=k, n=n, passed=True, witness=witness)
+
+
+class TestReportOrder:
+    def test_reversed_records_come_back_in_report_order(self):
+        checks = run_chain_verification(B8, [1, 2], 5).checks
+        # name, then k, then n, None before every number
+        keys = [(c.name, c.k is not None, c.k or 0, c.n is not None, c.n or 0)
+                for c in checks]
+        assert keys == sorted(keys)
+        report = ProofReport(context={}, checks=tuple(reversed(checks)))
+        assert report.checks == checks
+
+    def test_none_first_and_ties_keep_their_order(self):
+        given = (_rec("b", 1, 2), _rec("a", 2, 0), _rec("a", None, 5),
+                 _rec("a", 2, None), _rec("a", 2, 0, "second"))
+        assert ProofReport(context={}, checks=given).checks == (
+            _rec("a", None, 5), _rec("a", 2, None), _rec("a", 2, 0),
+            _rec("a", 2, 0, "second"), _rec("b", 1, 2))
