@@ -17,9 +17,13 @@ whose leading coefficient is lambda_n, so L is triangular on monomials and
 L[y] = lambda_n y has a unique monic degree-n polynomial solution whenever
 lambda_n differs from lambda_0, ..., lambda_(n-1). solve_operator_equation
 computes the image table L[x^0], ..., L[x^N] once per family and finds
-every p_n by exact back-substitution on it. It refuses to hand back a p_n
-that does not recheck to a zero residual, and the recheck applies D and S
-to p_n itself, never to a combination of the shared images.
+every p_n by exact back-substitution on it. The table applies neither D
+nor S: the product rules D(x y) = S y + alpha x D y and
+S(x y) = U2 D y + alpha x S y (qoperators) step D x^m and S x^m up from
+D 1 = 0 and S 1 = 1, and linearity gives D^2 x^m and SD x^m from those.
+solve_operator_equation refuses to hand back a p_n that does not recheck
+to a zero residual, and the recheck applies D and S to p_n itself, never
+to a combination of the shared images.
 
 lambda_n - lambda_m factors as a nonzero multiple of
 (q^n - q^m)(q^(-n-m) - sigma4 q^(-1)), so collisions happen exactly when
@@ -46,7 +50,7 @@ from .errors import (
     OrthogonalityBroken,
     UsageError,
 )
-from .qoperators import apply_Dq, apply_Sq
+from .qoperators import apply_Dq, apply_Sq, structural_polys
 from .qpoly import PolyX
 from .scalars import (
     QContext,
@@ -126,18 +130,43 @@ def _apply_L(ctx: QContext, f: PolyX, g: PolyX, y: PolyX) -> PolyX:
 
 
 def _monomial_images(ctx: QContext, f: PolyX, g: PolyX, N: int) -> list[PolyX]:
-    return [_apply_L(ctx, f, g, PolyX.monomial(m)) for m in range(N + 1)]
+    """L[x^m] for m = 0..N, without applying D or S.
+
+    The product rules with one factor x (D x = gamma_1 = 1, S x = alpha x)
+    step the images of x^m up from D 1 = 0 and S 1 = 1:
+
+        D x^m = S x^(m-1) + alpha x D x^(m-1)
+        S x^m = U2 D x^(m-1) + alpha x S x^(m-1)
+
+    D^2 x^m and SD x^m are then the coefficients of D x^m taken against
+    those two tables, by linearity.
+    """
+    _, u2 = structural_polys(ctx)
+    ax = PolyX.monomial(1, ctx.alpha)
+    d, s = [PolyX.zero()], [PolyX.constant(1)]
+    for _ in range(N):
+        dm, sm = d[-1], s[-1]
+        d.append(sm + ax * dm)
+        s.append(u2 * dm + ax * sm)
+    images = []
+    for dm in d:
+        d2 = sum((c * dx for c, dx in zip(dm.coeffs, d)), PolyX.zero())
+        sd = sum((c * sx for c, sx in zip(dm.coeffs, s)), PolyX.zero())
+        images.append(f * d2 + g * sd)
+    return images
 
 
 def solve_operator_equation(ctx: QContext, params: AWParams,
                             N: int) -> tuple[PolyX, ...]:
     """Monic solutions p_0..p_N of L[y] = lambda_n y, p_n of degree n.
 
-    L[x^m] is computed once for m = 0..N, and each p_n comes from
-    back-substitution down that one triangular coefficient matrix. Per
-    degree, raises EigenvalueCollision if lambda_n meets a lower diagonal
-    entry, and InternalError if L[p_n] - lambda_n p_n, recomputed by
-    applying the operators to p_n itself, is not exactly zero.
+    L[x^m] is computed once for m = 0..N from the product rules, without
+    applying an operator, and each p_n comes from back-substitution down
+    that one triangular coefficient matrix. Per degree, raises
+    EigenvalueCollision if lambda_n meets a lower diagonal entry, and
+    InternalError if L[p_n] - lambda_n p_n, recomputed by applying D and S
+    to p_n itself, is not exactly zero. So a build applies D 2(N + 1)
+    times and S N + 1 times, all in the recheck.
     """
     if N < 0:
         raise UsageError(f"degree must be >= 0, got {N}")
@@ -235,8 +264,8 @@ class AWFamily(Ladder):
 
 
 def build_family(ctx: QContext, params: AWParams, N: int) -> AWFamily:
-    if N < 0:
-        raise UsageError(f"family size must be >= 0, got {N}")
+    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
+        raise UsageError(f"family size must be an int >= 0, got {N!r}")
     _reject_degenerate(ctx, params, N)
     polys = solve_operator_equation(ctx, params, N)
     bs, cs = three_term_data(polys)

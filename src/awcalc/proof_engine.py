@@ -676,12 +676,14 @@ def chain_orders(k_list: Iterable[int], N: int, n_max: int) -> list[int]:
     eq_final is checked at 2 <= n <= min(n_max, N - k - 1), so a run with
     n_max < 2 or N < k + 3 for some k would certify nothing for that k and
     is rejected instead."""
-    ks = sorted(set(k_list))
+    ks = list(k_list)
     if not ks:
         raise UsageError("need at least one derivation order k")
     for k in ks:
-        if not isinstance(k, int) or k < 1:
+        # checked before set(): True == 1 would merge with a genuine 1
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise UsageError(f"derivation orders must be ints >= 1, got {k!r}")
+    ks = sorted(set(ks))
     if n_max < 2 or N < ks[-1] + 3:
         raise UsageError(
             f"n_max={n_max} and N={N} leave nothing to verify at k={ks[-1]}; "

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awcalc import (
     PolyX,
@@ -30,10 +32,19 @@ from awcalc.errors import (
     OrthogonalityBroken,
     UsageError,
 )
-from helpers import PARAM_SETS, SET_B, cached_family
+from awcalc.scalars import parse_rational
+from helpers import (
+    PARAM_SETS,
+    SET_B,
+    SET_C,
+    cached_family,
+    qsqrts,
+    sigma_vectors,
+)
 
 HALF = make_qcontext(Fraction(1, 2))
 QH = params_from_sigmas(0, 0, 0, 0)
+SET_C_SIGMAS = tuple(parse_rational(s) for s in SET_C[1].split(","))
 
 
 class TestParams:
@@ -71,6 +82,15 @@ class TestEquationData:
             assert len(set(lams)) == 13
 
 
+def assert_images_match(ctx, params, N):
+    # the product-rule table against D and S applied to each x^m
+    f, g = equation_coeffs(ctx, params)
+    images = askey_wilson._monomial_images(ctx, f, g, N)
+    assert len(images) == N + 1
+    for m, image in enumerate(images):
+        assert image == askey_wilson._apply_L(ctx, f, g, PolyX.monomial(m)), m
+
+
 class TestSolve:
     def test_known_low_degrees(self):
         assert solve_operator_equation(HALF, QH, 3) == (
@@ -99,7 +119,8 @@ class TestSolve:
             solve_operator_equation(HALF, bad, 5)
 
     def test_each_monomial_image_is_built_once(self, monkeypatch):
-        # 9 monomial images and 9 rechecks of p_n, each 2 D and 1 S
+        # the monomial images come from the product rules and apply no
+        # operator; only the 9 rechecks of p_n do, each 2 D and 1 S
         inputs = {"apply_Dq": [], "apply_Sq": []}
         for name, seen in inputs.items():
             def recording(ctx, p, _apply=getattr(askey_wilson, name), _seen=seen):
@@ -108,10 +129,22 @@ class TestSolve:
             monkeypatch.setattr(askey_wilson, name, recording)
         fam = cached_family.__wrapped__(*SET_B, 8)  # a fresh build, not the cached one
         assert {name: len(seen) for name, seen in inputs.items()} == {
-            "apply_Dq": 36, "apply_Sq": 18,
+            "apply_Dq": 18, "apply_Sq": 9,
         }
-        # the recheck applies D to every p_n itself
+        # the recheck applies D to every p_n itself, and never to a monomial
         assert all(any(q is p for q in inputs["apply_Dq"]) for p in fam.polys)
+        assert not [p for p in inputs["apply_Dq"]
+                    if p.degree >= 1 and p == PolyX.monomial(p.degree)]
+
+    @pytest.mark.parametrize("vtext", ["1/2", "1/3", "2/3"])
+    def test_monomial_images_match_the_applied_operators(self, vtext):
+        assert_images_match(make_qcontext(parse_rational(vtext)),
+                            params_from_sigmas(*SET_C_SIGMAS), 20)
+
+    @given(qsqrts, sigma_vectors, st.integers(0, 12))
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_monomial_images_match_at_random_parameters(self, v, sigmas, N):
+        assert_images_match(make_qcontext(v), params_from_sigmas(*sigmas), N)
 
     def test_corrupt_shared_image_fails_the_recheck(self, monkeypatch):
         def corrupted(ctx, f, g, N):
@@ -180,6 +213,12 @@ class TestBuildFamily:
             fam.recurrence_C(0)
         with pytest.raises(UsageError):
             cached_family("1/2", "0,0,0,0", -1)
+
+    def test_bool_size_rejected(self):
+        # True == 1, so without its own check it would build N = 1 and
+        # serialize "N": true
+        with pytest.raises(UsageError, match=r"got True$"):
+            build_family(HALF, QH, True)
 
 
 class TestThreeTermData:

@@ -372,6 +372,14 @@ class TestRunChainVerification:
         with pytest.raises(UsageError):
             run_chain_verification(QH8, [1.5], 4)
 
+    def test_bool_order_rejected(self):
+        # True == 1, so without its own check it would run k = 1 and
+        # report "k": true on every record
+        with pytest.raises(UsageError, match=r"got True$"):
+            run_chain_verification(B8, [True], 3)
+        with pytest.raises(UsageError, match=r"got True$"):
+            run_chain_verification(B8, [1, True], 3)
+
     def test_duplicate_orders_collapse(self):
         once = run_chain_verification(QH8, [2], 4)
         twice = run_chain_verification(QH8, [2, 2], 4)
