@@ -34,18 +34,20 @@ A family carries its three-term recurrence data
 
     x p_n = p_(n+1) + B_n p_n + C_n p_(n-1),
 
-extracted exactly from the polynomials themselves, and round-trips through
-a plain-JSON dict form for the CLI.
+extracted exactly from the polynomials themselves. Its plain-JSON dict form
+is read back by rebuilding it from v, sigmas and N (family_from_dict).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .errors import (
     DegenerateParams,
     EigenvalueCollision,
+    FamilyMismatch,
     InternalError,
     OrthogonalityBroken,
     UsageError,
@@ -284,12 +286,13 @@ def family_to_dict(family: AWFamily) -> dict:
 
 
 def family_from_dict(data: dict) -> AWFamily:
-    """Load the dict form. Shapes and monicity are validated so downstream
-    index arithmetic is safe; the recurrence values are taken as given,
-    consistent or not. A chain run catches a corrupt value only where one
-    of its records reads it: no record reads B_0, C_1 only multiplies
-    D p_0 = 0, and values above the window that n_max and k set (B_11 for
-    N = 12, n_max = 7, k = 1, 2, 3) are not read at all."""
+    """Rebuild the family that the dict's v, sigmas and N determine.
+
+    The header is checked before any build (UsageError). The stored polys,
+    B and C must then equal what family_to_dict writes for the rebuilt
+    family, or FamilyMismatch names the first list and index that differ.
+    Each monic solution is unique, so this accepts exactly the files whose
+    polynomials solve their own equation and carry their own recurrence."""
     if not isinstance(data, dict):
         raise UsageError("family data must be a JSON object")
     missing = {"v", "sigmas", "N", "polys", "B", "C"} - set(data)
@@ -303,18 +306,15 @@ def family_from_dict(data: dict) -> AWFamily:
     N = data["N"]
     if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise UsageError(f"N must be an int >= 0, got {N!r}")
-    polys_raw = data["polys"]
-    if not isinstance(polys_raw, list) or len(polys_raw) != N + 1:
+    if not isinstance(data["polys"], list) or len(data["polys"]) != N + 1:
         raise UsageError(f"polys must be a list of {N + 1} polynomials")
-    polys = tuple(PolyX.from_json(item) for item in polys_raw)
-    for j, p in enumerate(polys):
-        if p.degree != j or p.leading != 1:
-            raise UsageError(f"polynomial {j} is not monic of degree {j}")
-    braw, craw = data["B"], data["C"]
-    if not isinstance(braw, list) or len(braw) != N:
-        raise UsageError(f"B must be a list of {N} rationals")
-    if not isinstance(craw, list) or len(craw) != max(N - 1, 0):
-        raise UsageError(f"C must be a list of {max(N - 1, 0)} rationals")
-    bs = tuple(parse_rational(s) for s in braw)
-    cs = tuple(parse_rational(s) for s in craw)
-    return AWFamily(ctx=ctx, params=params, N=N, polys=polys, B=bs, C=cs)
+    family = build_family(ctx, params, N)
+    rebuilt = family_to_dict(family)
+    for key in ("polys", "B", "C"):
+        stored, want = data[key], rebuilt[key]
+        if stored != want:
+            pairs = zip(stored, want) if isinstance(stored, list) else ()
+            i = sum(1 for _ in takewhile(lambda pair: pair[0] == pair[1], pairs))
+            raise FamilyMismatch(f"{key}[{i}] differs from the family that "
+                                 "v, sigmas and N determine")
+    return family

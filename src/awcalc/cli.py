@@ -9,12 +9,11 @@ Three subcommands:
   verify-chain        run the full equation chain for one or more k, on a
                       freshly built family or on a family file
 
-Exit codes: 0 when every check passed, 1 when at least one verification
-failed, 2 for malformed input, inadmissible parameters, a family file that
-cannot be read, an --out path that cannot be written or a run that would
-check nothing, 3 for an internal fault (an InternalError or any exception
-awcalc does not raise on purpose, reported on one line without a
-traceback). All output is byte-deterministic for fixed arguments.
+Exit codes: 0 when every check passed; 1 when a check failed or a family
+file differs from the family its v, sigmas and N determine; 2 for bad
+input or parameters, an unreadable family file, an unwritable --out path
+or a run that would check nothing; 3 for an InternalError or any other
+unexpected exception, on one line. Output is byte-deterministic per argv.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 Everything raised on purpose by this package derives from AWCalcError, so
 callers can catch one type. DomainError and UsageError additionally derive
-from ValueError since they signal bad arguments.
+from ValueError since they signal bad arguments. The CLI exits 2 on those,
+3 on InternalError and 1 on the verification errors: OrthogonalityBroken,
+FamilyMismatch, ProportionalityFailure and NoRationalMatch.
 """
 
 
@@ -40,6 +42,11 @@ class EigenvalueCollision(DomainError):
 
 class OrthogonalityBroken(AWCalcError):
     """A three-term recurrence invariant failed while building a family."""
+
+
+class FamilyMismatch(AWCalcError):
+    """A stored family's polynomials or recurrence data differ from the
+    family that its own v, sigmas and N determine."""
 
 
 class ProportionalityFailure(AWCalcError):

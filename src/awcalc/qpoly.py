@@ -24,10 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainError, InternalError, UsageError
-from .scalars import Rational, as_rational, format_rational, parse_rational
+from .scalars import Rational, as_rational, format_rational
 
 _NEG_INF = float("-inf")
 
@@ -135,12 +134,6 @@ class PolyX:
     def to_json(self) -> list[str]:
         """Constant-first list of strict rational strings."""
         return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, items: Sequence[str]) -> "PolyX":
-        if not isinstance(items, (list, tuple)):
-            raise UsageError(f"polynomial JSON must be a list, got {items!r}")
-        return cls(tuple(parse_rational(s) for s in items))
 
     def __repr__(self) -> str:
         if not self.coeffs:

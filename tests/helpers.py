@@ -22,6 +22,13 @@ Euclid's remainder sequence, so the two share no step past the input
 coefficients. The determinant costs O(n^3) big-integer operations, which
 is why it lives here and not in src/.
 
+kls_recurrence is the recurrence of the Askey-Wilson polynomials from
+Koekoek, Lesky and Swarttouw, "Hypergeometric Orthogonal Polynomials and
+Their q-Analogues" (2010), section 14.1, in closed form in the four roots.
+It reads no D, S, operator equation or ladder, so it is the ground truth
+for build_family's recurrence data, and through family_from_dict for what
+a family file must store.
+
 qsqrts and sigma_vectors are the Hypothesis strategies for random
 parameter points: v = q^(1/2) in (0, 1) and sigma vectors, both with small
 numerators and denominators so that a family of modest size builds fast.
@@ -63,6 +70,8 @@ def checkout_env() -> dict[str, str]:
 qsqrts = st.integers(2, 7).flatmap(
     lambda den: st.integers(1, den - 1).map(lambda num: Fraction(num, den)))
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+nonzero_rationals = st.builds(Fraction, st.integers(-6, -1) | st.integers(1, 6),
+                              st.integers(1, 6))
 sigma_vectors = st.tuples(small_rationals, small_rationals, small_rationals,
                           small_rationals)
 
@@ -72,6 +81,37 @@ def cached_family(vtext: str, sigtext: str, N: int):
     ctx = make_qcontext(parse_rational(vtext))
     sigmas = tuple(parse_rational(s) for s in sigtext.split(","))
     return build_family(ctx, params_from_sigmas(*sigmas), N)
+
+
+def kls_recurrence(a, b, c, d, q, N: int) -> tuple[tuple, tuple]:
+    """(B_0..B_(N-1), C_1..C_(N-1)) of the monic Askey-Wilson polynomials
+    in x = (z + 1/z)/2 with roots a, b, c, d and base q, from KLS 14.1:
+
+        x p_n = p_(n+1) + (a + 1/a - A_n - C_n)/2 p_n + A_(n-1) C_n/4 p_(n-1)
+
+    with KLS's A_n and C_n. a must be nonzero unless all four roots are
+    zero, the continuous q-Hermite limit B_n = 0, C_n = (1 - q^n)/4. A
+    vanishing denominator raises ZeroDivisionError."""
+    a, b, c, d, q = (Fraction(t) for t in (a, b, c, d, q))
+    if not (a or b or c or d):
+        return (Fraction(0),) * N, tuple((1 - q ** n) / 4 for n in range(1, N))
+    abcd = a * b * c * d
+
+    def big_a(n):
+        return ((1 - a * b * q ** n) * (1 - a * c * q ** n) * (1 - a * d * q ** n)
+                * (1 - abcd * q ** (n - 1))
+                / (a * (1 - abcd * q ** (2 * n - 1)) * (1 - abcd * q ** (2 * n))))
+
+    def big_c(n):
+        if n == 0:
+            return Fraction(0)
+        return (a * (1 - q ** n) * (1 - b * c * q ** (n - 1))
+                * (1 - b * d * q ** (n - 1)) * (1 - c * d * q ** (n - 1))
+                / ((1 - abcd * q ** (2 * n - 2)) * (1 - abcd * q ** (2 * n - 1))))
+
+    bs = tuple((a + 1 / a - big_a(n) - big_c(n)) / 2 for n in range(N))
+    cs = tuple(big_a(n - 1) * big_c(n) / 4 for n in range(1, N))
+    return bs, cs
 
 
 def breve(p) -> dict[int, Fraction]:

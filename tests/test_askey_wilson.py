@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from awcalc import (
@@ -28,6 +28,7 @@ from awcalc.askey_wilson import (
 from awcalc.errors import (
     DegenerateParams,
     EigenvalueCollision,
+    FamilyMismatch,
     InternalError,
     OrthogonalityBroken,
     UsageError,
@@ -38,8 +39,11 @@ from helpers import (
     SET_B,
     SET_C,
     cached_family,
+    kls_recurrence,
+    nonzero_rationals,
     qsqrts,
     sigma_vectors,
+    small_rationals,
 )
 
 HALF = make_qcontext(Fraction(1, 2))
@@ -247,13 +251,41 @@ class TestSerialisation:
     def test_non_monic_poly_rejected(self):
         blob = family_to_dict(cached_family("1/2", "0,0,0,0", 3))
         blob["polys"][2][-1] = "2"
-        with pytest.raises(UsageError):
+        with pytest.raises(FamilyMismatch, match=r"polys\[2\]"):
             family_from_dict(blob)
 
-    def test_corrupt_recurrence_loads_verbatim(self):
-        # recurrence data is carried, not recomputed; the chain checks are
-        # what catches a lie like this one
+    def test_corrupt_recurrence_rejected(self):
+        # recurrence data are rebuilt from v, sigmas and N, never carried
         blob = family_to_dict(cached_family("1/2", "0,0,0,0", 3))
         blob["C"][0] = "1/7"
-        fam = family_from_dict(blob)
-        assert fam.recurrence_C(1) == Fraction(1, 7)
+        with pytest.raises(FamilyMismatch, match=r"C\[0\]"):
+            family_from_dict(blob)
+
+
+class TestKLSOracle:
+    """build_family against the Askey-Wilson recurrence of Koekoek, Lesky
+    and Swarttouw (2010), section 14.1, which applies no operator."""
+
+    @given(qsqrts, nonzero_rationals,
+           st.lists(st.tuples(st.booleans(), small_rationals),
+                    min_size=3, max_size=3),
+           st.integers(1, 8))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_recurrence_matches_at_random_roots(self, v, a, rest, N):
+        # each of b, c, d is zero or a small rational, so 0-3 roots are zero
+        roots = (a,) + tuple(r if keep else Fraction(0) for keep, r in rest)
+        try:
+            fam = build_family(make_qcontext(v), params_from_roots(*roots), N)
+            expected = kls_recurrence(*roots, v * v, N)
+        except (DegenerateParams, ZeroDivisionError):
+            assume(False)
+        assert (fam.B, fam.C) == expected
+
+    @pytest.mark.parametrize("vtext", ["1/2", "1/3"])
+    def test_continuous_q_hermite(self, vtext):
+        v = parse_rational(vtext)
+        fam = build_family(make_qcontext(v), params_from_roots(0, 0, 0, 0), 8)
+        q = v * v
+        assert fam.B == (0,) * 8
+        assert fam.C == tuple((1 - q ** n) / 4 for n in range(1, 8))
+        assert kls_recurrence(0, 0, 0, 0, q, 8) == (fam.B, fam.C)

@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,18 +16,20 @@ from hypothesis import strategies as st
 
 from awcalc import (
     PolyX,
+    askey_wilson,
     build_family,
     cli,
     make_qcontext,
     params_from_sigmas,
     qoperators,
+    run_chain_verification,
 )
 from awcalc.askey_wilson import family_to_dict
 from awcalc.cli import main
 from awcalc.errors import InternalError, OrthogonalityBroken
 from awcalc.qpoly import random_poly
 from awcalc.scalars import format_rational
-from helpers import SET_C, checkout_env, qsqrts, sigma_vectors
+from helpers import SET_C, cached_family, checkout_env, qsqrts, sigma_vectors
 from fractions import Fraction
 
 
@@ -34,6 +37,18 @@ def run(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def tampered_file(tmp_path, capsys, vtext, sigtext, N, edit):
+    """Path of the build-family file of (vtext, sigtext, N) after
+    edit(blob) has changed its JSON object in place."""
+    fam_path = tmp_path / "fam.json"
+    assert run(["build-family", "--qsqrt", vtext, f"--sigmas={sigtext}",
+                "--nmax", str(N), "--out", str(fam_path)], capsys)[0] == 0
+    blob = json.loads(fam_path.read_text())
+    edit(blob)
+    fam_path.write_text(json.dumps(blob))
+    return fam_path
 
 
 def record_operator_inputs(monkeypatch):
@@ -265,48 +280,52 @@ class TestVerifyChain:
         assert fresh[0] == 0
         assert loaded == fresh
 
+    # A tampered family file is refused at load time (FamilyMismatch, exit 1)
+    # before any record is made, so each of these tests also runs the chain
+    # on the same tampered family built in memory: the records and
+    # derived_family must still catch a family that lies.
     def test_corrupt_family_fails_checks_not_usage(self, tmp_path, capsys):
-        fam_path = tmp_path / "fam.json"
-        run(
-            ["build-family", "--qsqrt", "1/2", "--sigmas", "0,0,0,0",
-             "--nmax", "7", "--out", str(fam_path)],
-            capsys,
-        )
-        blob = json.loads(fam_path.read_text())
-        blob["C"][2] = "1/7"
-        fam_path.write_text(json.dumps(blob))
-        code, out, _ = run(
+        fam_path = tampered_file(
+            tmp_path, capsys, "1/2", "0,0,0,0", 7,
+            lambda blob: blob["C"].__setitem__(2, "1/7"))
+        code, out, err = run(
             ["verify-chain", "--family", str(fam_path), "--nmax", "4",
              "--format", "text"],
             capsys,
         )
-        assert code == 1
-        assert "FAIL [" in out
+        assert code == 1 and out == "" and "C[2]" in err
+
+        fam = cached_family("1/2", "0,0,0,0", 7)
+        bad = replace(fam, C=fam.C[:2] + (Fraction(1, 7),) + fam.C[3:])
+        report = run_chain_verification(bad, [1], 4)
+        assert not report.all_passed
+        assert "FAIL [" in cli._render(report, "text")
 
     def test_eq6_checks_its_own_residual(self, tmp_path, capsys):
         # C_6 enters the eq6 displays at n + k - 1 = 6 but not eq3a there
-        fam_path = tmp_path / "fam.json"
-        run(
-            ["build-family", "--qsqrt", "1/2", "--sigmas=1/2,-1,3/4,2",
-             "--nmax", "12", "--out", str(fam_path)],
-            capsys,
-        )
-        blob = json.loads(fam_path.read_text())
-        blob["C"][5] = str(Fraction(blob["C"][5]) + 1)  # C_6
-        fam_path.write_text(json.dumps(blob))
-        code, out, _ = run(
+        def bump_c6(blob):
+            blob["C"][5] = str(Fraction(blob["C"][5]) + 1)
+
+        fam_path = tampered_file(tmp_path, capsys, "1/2", "1/2,-1,3/4,2", 12,
+                                 bump_c6)
+        code, out, err = run(
             ["verify-chain", "--family", str(fam_path), "--nmax", "7",
              "--k", "1,2,3"],
             capsys,
         )
-        assert code == 1
-        recs = {(c["name"], c["k"], c["n"]): c for c in json.loads(out)["checks"]}
+        assert code == 1 and out == "" and "C[5]" in err
+
+        fam = cached_family("1/2", "1/2,-1,3/4,2", 12)
+        bad = replace(fam, C=fam.C[:5] + (fam.C[5] + 1,) + fam.C[6:])
+        report = run_chain_verification(bad, [1, 2, 3], 7)
+        assert not report.all_passed
+        recs = {(c.name, c.k, c.n): c for c in report.checks}
         for k, n in ((1, 6), (2, 5), (3, 4)):
-            assert recs[("eq3a", k, n)]["passed"]
-            assert recs[("eq3a", k, n)]["witness"] == "0"
+            assert recs[("eq3a", k, n)].passed
+            assert recs[("eq3a", k, n)].witness == "0"
             eq6 = recs[("eq6", k, n)]
-            assert not eq6["passed"]
-            deg, lead = eq6["witness"].split(";")
+            assert not eq6.passed
+            deg, lead = eq6.witness.split(";")
             assert deg == f"deg={n - 2}"
             assert lead.startswith("lead=") and Fraction(lead[5:]) != 0
 
@@ -314,22 +333,77 @@ class TestVerifyChain:
     # a run at k = 3 alone still builds P^[3] through P^[1] and P^[2]
     @pytest.mark.parametrize("ks", ["1,2,3", "3"])
     def test_broken_ladder_names_its_order(self, ks, tmp_path, capsys):
-        fam_path = tmp_path / "fam.json"
-        run(
-            ["build-family", "--qsqrt", "1/2", "--sigmas=1/2,-1,3/4,2",
-             "--nmax", "12", "--out", str(fam_path)],
-            capsys,
-        )
-        blob = json.loads(fam_path.read_text())
-        blob["polys"][3][1] = str(Fraction(blob["polys"][3][1]) + 1)
-        fam_path.write_text(json.dumps(blob))
+        def bump_p3(blob):
+            blob["polys"][3][1] = str(Fraction(blob["polys"][3][1]) + 1)
+
+        fam_path = tampered_file(tmp_path, capsys, "1/2", "1/2,-1,3/4,2", 12,
+                                 bump_p3)
         code, out, err = run(
             ["verify-chain", "--family", str(fam_path), "--nmax", "7",
              "--k", ks],
             capsys,
         )
+        assert code == 1 and out == "" and "polys[3]" in err
+
+        fam = cached_family("1/2", "1/2,-1,3/4,2", 12)
+        polys = list(fam.polys)
+        polys[3] = polys[3] + PolyX.x()
+        bad = replace(fam, polys=tuple(polys))
+        with pytest.raises(OrthogonalityBroken, match="derived family k=1:"):
+            run_chain_verification(bad, [int(k) for k in ks.split(",")], 7)
+
+    # the family of the relabelling found in the ROADMAP (item 12)
+    ITEM12 = ("1/3", "-3/2,2,1/4,-1", 10)
+
+    def test_relabelled_sigmas_are_refused(self, tmp_path, capsys):
+        fam_path = tampered_file(tmp_path, capsys, *self.ITEM12, lambda blob: None)
+        argv = ["verify-chain", "--family", str(fam_path), "--nmax", "7",
+                "--k", "1,2,3"]
+        assert run(argv, capsys)[0] == 0
+        blob = json.loads(fam_path.read_text())
+        blob["sigmas"] = ["1/2", "-1", "3/4", "2"]
+        fam_path.write_text(json.dumps(blob))
+        code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
-        assert "derived family k=1:" in err
+        assert err == ("error: polys[1] differs from the family that v, "
+                       "sigmas and N determine\n")
+
+    def test_changed_b0_is_refused(self, tmp_path, capsys):
+        # no chain record reads B_0, so only the load-time rebuild sees this
+        fam_path = tampered_file(tmp_path, capsys, *self.ITEM12,
+                                 lambda blob: blob["B"].__setitem__(0, "12345"))
+        code, out, err = run(
+            ["verify-chain", "--family", str(fam_path), "--nmax", "7",
+             "--k", "1,2,3"],
+            capsys,
+        )
+        assert code == 1 and out == "" and "error: B[0] differs" in err
+
+    def test_equal_but_non_canonical_entry_is_refused(self, tmp_path, capsys):
+        # the stored lists must be exactly what build-family writes
+        def double_terms(blob):
+            value = Fraction(blob["B"][1])
+            blob["B"][1] = f"{2 * value.numerator}/{2 * value.denominator}"
+            assert Fraction(blob["B"][1]) == value
+
+        fam_path = tampered_file(tmp_path, capsys, *self.ITEM12, double_terms)
+        code, out, err = run(["verify-chain", "--family", str(fam_path),
+                              "--nmax", "7"], capsys)
+        assert code == 1 and out == "" and "error: B[1] differs" in err
+
+    def test_huge_n_is_a_usage_error_before_any_build(
+            self, tmp_path, monkeypatch, capsys):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a family was built before the header check")
+
+        monkeypatch.setattr(askey_wilson, "build_family", no_build)
+        blob = json.loads(json.dumps(FAMILY_BLOB))
+        blob["N"] = 10**30
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(json.dumps(blob))
+        assert len(blob["polys"]) == 7
+        code, out, err = run(["verify-chain", "--family", str(fam_path)], capsys)
+        assert code == 2 and out == "" and "polys must be a list of" in err
 
     def test_text_format(self, capsys):
         code, out, _ = run(
