@@ -285,10 +285,18 @@ def family_to_dict(family: AWFamily) -> dict:
     }
 
 
+def _check_rational_list(value, what: str) -> None:
+    if not isinstance(value, list):
+        raise UsageError(f"{what} must be a list of rational strings")
+    for text in value:
+        parse_rational(text)
+
+
 def family_from_dict(data: dict) -> AWFamily:
     """Rebuild the family that the dict's v, sigmas and N determine.
 
-    The header is checked before any build (UsageError). The stored polys,
+    The header, and that polys, B and C hold lists of rational literals,
+    are checked before any build (UsageError). The stored polys,
     B and C must then equal what family_to_dict writes for the rebuilt
     family, or FamilyMismatch names the first list and index that differ.
     Each monic solution is unique, so this accepts exactly the files whose
@@ -308,6 +316,10 @@ def family_from_dict(data: dict) -> AWFamily:
         raise UsageError(f"N must be an int >= 0, got {N!r}")
     if not isinstance(data["polys"], list) or len(data["polys"]) != N + 1:
         raise UsageError(f"polys must be a list of {N + 1} polynomials")
+    for j, poly in enumerate(data["polys"]):
+        _check_rational_list(poly, f"polys[{j}]")
+    _check_rational_list(data["B"], "B")
+    _check_rational_list(data["C"], "C")
     family = build_family(ctx, params, N)
     rebuilt = family_to_dict(family)
     for key in ("polys", "B", "C"):

@@ -14,6 +14,12 @@ file differs from the family its v, sigmas and N determine; 2 for bad
 input or parameters, an unreadable family file, an unwritable --out path
 or a run that would check nothing; 3 for an InternalError or any other
 unexpected exception, on one line. Output is byte-deterministic per argv.
+
+Each runner imports the computational modules it uses when it runs, so a
+process loads only what its subcommand needs: --help, a usage error or an
+unwritable --out load none of them, verify-identities loads scalars, qpoly
+and qoperators, build-family adds askey_wilson, and only verify-chain loads
+proof_engine.
 """
 
 from __future__ import annotations
@@ -25,31 +31,13 @@ import os
 import random
 import re
 import sys
-from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .askey_wilson import (
-    build_family,
-    family_from_dict,
-    family_to_dict,
-    params_from_roots,
-    params_from_sigmas,
-)
 from .errors import AWCalcError, DomainError, InternalError, UsageError
-from .proof_engine import (
-    CheckRecord,
-    ProofReport,
-    chain_orders,
-    run_chain_verification,
-)
-from .qoperators import (
-    IDENTITIES,
-    OperatorImages,
-    verify_identity,
-    verify_k_fold_rule,
-)
-from .qpoly import random_poly
-from .scalars import format_rational, make_qcontext, parse_rational
+
+if TYPE_CHECKING:
+    from .qoperators import ProofReport
 
 # identity trials draw polynomials up to this degree
 MAX_TRIAL_DEGREE = 10
@@ -72,6 +60,8 @@ def _nonneg_int(text: str) -> int:
 
 
 def _parse_four(text: str) -> tuple:
+    from .scalars import parse_rational
+
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError(f"expected 4 comma-separated rationals, got {text!r}")
@@ -97,6 +87,8 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 
 def _params_from_args(args) -> object:
+    from .askey_wilson import params_from_roots, params_from_sigmas
+
     if (args.params is None) == (args.sigmas is None):
         raise UsageError("give exactly one of --params or --sigmas")
     if args.params is not None:
@@ -120,6 +112,17 @@ def _cannot_write(exc: OSError) -> int:
 
 
 def _run_identities(args) -> tuple[str, bool]:
+    from .qoperators import (
+        IDENTITIES,
+        CheckRecord,
+        OperatorImages,
+        ProofReport,
+        verify_identity,
+        verify_k_fold_rule,
+    )
+    from .qpoly import random_poly
+    from .scalars import format_rational, make_qcontext, parse_rational
+
     if args.trials == 0:
         raise UsageError("--trials 0 runs no checks; need at least 1")
     ctx = make_qcontext(parse_rational(args.qsqrt))
@@ -146,6 +149,9 @@ def _run_identities(args) -> tuple[str, bool]:
 
 
 def _run_build(args) -> tuple[str, bool]:
+    from .askey_wilson import build_family, family_to_dict
+    from .scalars import make_qcontext, parse_rational
+
     ctx = make_qcontext(parse_rational(args.qsqrt))
     params = _params_from_args(args)
     family = build_family(ctx, params, args.nmax)
@@ -153,6 +159,10 @@ def _run_build(args) -> tuple[str, bool]:
 
 
 def _run_chain(args) -> tuple[str, bool]:
+    from .askey_wilson import build_family, family_from_dict
+    from .proof_engine import chain_orders, run_chain_verification
+    from .scalars import make_qcontext, parse_rational
+
     ks = _parse_klist(args.k)
     if args.family is not None:
         if args.qsqrt or args.params or args.sigmas:
@@ -178,6 +188,9 @@ def _run_chain(args) -> tuple[str, bool]:
 
 
 def _render(report: ProofReport, fmt: str) -> str:
+    # dataclasses loads inspect; here it is only needed once there is a report
+    from dataclasses import asdict
+
     if fmt == "json":
         return json.dumps(asdict(report), indent=2) + "\n"
     lines = [f"# {json.dumps(report.context)}"]

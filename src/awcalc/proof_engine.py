@@ -85,7 +85,9 @@ from .errors import (
     UsageError,
 )
 from .qoperators import (
+    CheckRecord,
     OperatorCheckResult,
+    ProofReport,
     apply_Dq,
     apply_Sq,
     structural_polys,
@@ -467,36 +469,6 @@ def check_no_common_zeros(dp: PolyX, sp: PolyX) -> OperatorCheckResult:
     return OperatorCheckResult(name="no_common_zeros", passed=w != 0, witness=w)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """One line of a proof report; k and n are None where they do not
-    apply. witness is already rendered to text for the wire format, and
-    dataclasses.asdict gives the record's JSON object."""
-
-    name: str
-    k: int | None
-    n: int | None
-    passed: bool
-    witness: str
-
-    @classmethod
-    def of(cls, result: OperatorCheckResult, k: int | None,
-           n: int | None) -> CheckRecord:
-        """The record of one check result. A residual check, eq_final
-        included, is witnessed by "0" or by the degree and leading
-        coefficient of its nonzero residual; a value check by its deciding
-        rational."""
-        if result.residual is None:
-            witness = format_rational(result.witness)
-        elif result.passed:
-            witness = "0"
-        else:
-            lead = format_rational(result.residual.leading)
-            witness = f"deg={result.residual.degree};lead={lead}"
-        return cls(name=result.name, k=k, n=n, passed=result.passed,
-                   witness=witness)
-
-
 def check_nonvanishing(dfam: DerivedFamily, n: int) -> tuple[CheckRecord, ...]:
     """Nonvanishing certificates the chain divides by at degree n.
 
@@ -566,30 +538,6 @@ def verify_final_matches_aw(
         if mu[n] != -c * eigenvalue(ctx, params, n):
             raise NoRationalMatch(f"eigenvalue mismatch at degree {n}")
     return AWMatch(params=params, c=c)
-
-
-@dataclass(frozen=True)
-class ProofReport:
-    """A run's context and its check records, held in report order: by
-    name, then k, then n, with None before every number. The sort is
-    stable, so records that tie keep the order they were given in.
-    dataclasses.asdict gives the report's JSON object."""
-
-    context: dict
-    checks: tuple[CheckRecord, ...]
-
-    def __post_init__(self) -> None:
-        # k and n are never negative, so -1 puts None first
-        object.__setattr__(self, "checks", tuple(sorted(
-            self.checks,
-            key=lambda rec: (rec.name,
-                             -1 if rec.k is None else rec.k,
-                             -1 if rec.n is None else rec.n),
-        )))
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:

@@ -31,6 +31,11 @@ The checks read their D and S images from an OperatorImages table, which
 applies each operator to each distinct polynomial once. One table serves
 the identity and k-fold checks of one trial, which share f, D f, S f and
 D^j f; a new trial starts a new table.
+
+A check's outcome is an OperatorCheckResult. CheckRecord.of turns it into
+one line of a report and ProofReport holds a run's lines in report order;
+both live here, beside the result type, so that verify-identities reports
+its checks without loading the chain engine.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .qpoly import LaurentSym, PolyX, from_laurent, to_laurent
-from .scalars import QContext, Rational, alpha_k, gamma
+from .scalars import QContext, Rational, alpha_k, format_rational, gamma
 
 IDENTITIES = ("product_D", "product_S", "S_squared", "DS_commute")
 
@@ -137,6 +142,60 @@ class OperatorCheckResult:
     passed: bool
     residual: PolyX | None = None
     witness: Rational | None = None
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One line of a proof report; k and n are None where they do not
+    apply. witness is already rendered to text for the wire format, and
+    dataclasses.asdict gives the record's JSON object."""
+
+    name: str
+    k: int | None
+    n: int | None
+    passed: bool
+    witness: str
+
+    @classmethod
+    def of(cls, result: OperatorCheckResult, k: int | None,
+           n: int | None) -> CheckRecord:
+        """The record of one check result. A residual check, eq_final
+        included, is witnessed by "0" or by the degree and leading
+        coefficient of its nonzero residual; a value check by its deciding
+        rational."""
+        if result.residual is None:
+            witness = format_rational(result.witness)
+        elif result.passed:
+            witness = "0"
+        else:
+            lead = format_rational(result.residual.leading)
+            witness = f"deg={result.residual.degree};lead={lead}"
+        return cls(name=result.name, k=k, n=n, passed=result.passed,
+                   witness=witness)
+
+
+@dataclass(frozen=True)
+class ProofReport:
+    """A run's context and its check records, held in report order: by
+    name, then k, then n, with None before every number. The sort is
+    stable, so records that tie keep the order they were given in.
+    dataclasses.asdict gives the report's JSON object."""
+
+    context: dict
+    checks: tuple[CheckRecord, ...]
+
+    def __post_init__(self) -> None:
+        # k and n are never negative, so -1 puts None first
+        object.__setattr__(self, "checks", tuple(sorted(
+            self.checks,
+            key=lambda rec: (rec.name,
+                             -1 if rec.k is None else rec.k,
+                             -1 if rec.n is None else rec.n),
+        )))
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def _residual_result(name: str, residual: PolyX) -> OperatorCheckResult:

@@ -27,7 +27,8 @@ Koekoek, Lesky and Swarttouw, "Hypergeometric Orthogonal Polynomials and
 Their q-Analogues" (2010), section 14.1, in closed form in the four roots.
 It reads no D, S, operator equation or ladder, so it is the ground truth
 for build_family's recurrence data, and through family_from_dict for what
-a family file must store.
+a family file must store. kls_polys runs that recurrence forward from
+p_0 = 1, which gives the ground truth for the polynomials themselves.
 
 qsqrts and sigma_vectors are the Hypothesis strategies for random
 parameter points: v = q^(1/2) in (0, 1) and sigma vectors, both with small
@@ -112,6 +113,21 @@ def kls_recurrence(a, b, c, d, q, N: int) -> tuple[tuple, tuple]:
     bs = tuple((a + 1 / a - big_a(n) - big_c(n)) / 2 for n in range(N))
     cs = tuple(big_a(n - 1) * big_c(n) / 4 for n in range(1, N))
     return bs, cs
+
+
+def kls_polys(a, b, c, d, q, N: int) -> tuple[PolyX, ...]:
+    """p_0..p_N regenerated from kls_recurrence by
+    p_(n+1) = (x - B_n) p_n - C_n p_(n-1), with p_(-1) = 0 and p_0 = 1.
+    Ring arithmetic only: no D, S, operator equation or ladder."""
+    bs, cs = kls_recurrence(a, b, c, d, q, N)
+    x = PolyX.x()
+    polys = [PolyX.constant(1)]
+    for n in range(N):
+        nxt = (x - PolyX.constant(bs[n])) * polys[n]
+        if n:
+            nxt = nxt - cs[n - 1] * polys[n - 1]
+        polys.append(nxt)
+    return tuple(polys)
 
 
 def breve(p) -> dict[int, Fraction]:

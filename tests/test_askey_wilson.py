@@ -39,6 +39,7 @@ from helpers import (
     SET_B,
     SET_C,
     cached_family,
+    kls_polys,
     kls_recurrence,
     nonzero_rationals,
     qsqrts,
@@ -280,6 +281,17 @@ class TestKLSOracle:
         except (DegenerateParams, ZeroDivisionError):
             assume(False)
         assert (fam.B, fam.C) == expected
+        assert fam.polys == kls_polys(*roots, v * v, N)
+
+    def test_set_b_polynomials_at_n12(self):
+        # SET_B's sigmas 11/30, -2/15, -1/30, 0 are those of these roots
+        roots = (Fraction(1, 2), Fraction(1, 5), Fraction(-1, 3), Fraction(0))
+        vtext, sigtext = SET_B
+        v = parse_rational(vtext)
+        assert params_from_roots(*roots) == params_from_sigmas(
+            *map(parse_rational, sigtext.split(",")))
+        fam = cached_family(vtext, sigtext, 12)
+        assert fam.polys == kls_polys(*roots, v * v, 12)
 
     @pytest.mark.parametrize("vtext", ["1/2", "1/3"])
     def test_continuous_q_hermite(self, vtext):

@@ -21,7 +21,9 @@ from awcalc import (
     cli,
     make_qcontext,
     params_from_sigmas,
+    proof_engine,
     qoperators,
+    qpoly,
     run_chain_verification,
 )
 from awcalc.askey_wilson import family_to_dict
@@ -96,7 +98,7 @@ class TestVerifyIdentities:
             drawn.append(random_poly(rng, max_degree) if i < 2 else drawn[i - 2])
             return drawn[-1]
 
-        monkeypatch.setattr(cli, "random_poly", first_pair_again)
+        monkeypatch.setattr(qpoly, "random_poly", first_pair_again)
         counts = {}
         for trials in (1, 2):
             drawn.clear()
@@ -122,8 +124,8 @@ class TestVerifyIdentities:
                 image = super().D(p)
                 return image + PolyX.x() if p == drawn[-2] else image
 
-        monkeypatch.setattr(cli, "random_poly", recorded_draw)
-        monkeypatch.setattr(cli, "OperatorImages", CorruptDf)
+        monkeypatch.setattr(qpoly, "random_poly", recorded_draw)
+        monkeypatch.setattr(qoperators, "OperatorImages", CorruptDf)
         argv = ["verify-identities", "--qsqrt", "1/3", "--trials", "1", "--seed", "3"]
         code, out, err = run(argv, capsys)
         assert code == 1 and err == ""
@@ -405,6 +407,28 @@ class TestVerifyChain:
         code, out, err = run(["verify-chain", "--family", str(fam_path)], capsys)
         assert code == 2 and out == "" and "polys must be a list of" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: blob.update(N=28, polys=[["x"]] * 29),
+         "not a rational literal: 'x'"),
+        (lambda blob: blob["polys"].__setitem__(2, "1"),
+         "polys[2] must be a list of rational strings"),
+        (lambda blob: blob["B"].__setitem__(0, 0.5),
+         "not a rational literal: 0.5"),
+        (lambda blob: blob.update(C="0"), "C must be a list of rational strings"),
+    ], ids=["polys-literal", "polys-entry", "B-literal", "C-list"])
+    def test_malformed_entries_are_usage_errors_before_any_build(
+            self, edit, message, tmp_path, monkeypatch, capsys):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a family was built before the entry check")
+
+        monkeypatch.setattr(askey_wilson, "build_family", no_build)
+        blob = json.loads(json.dumps(FAMILY_BLOB))
+        edit(blob)
+        fam_path = tmp_path / "fam.json"
+        fam_path.write_text(json.dumps(blob))
+        code, out, err = run(["verify-chain", "--family", str(fam_path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_text_format(self, capsys):
         code, out, _ = run(
             ["verify-chain", "--qsqrt", "1/2", "--sigmas", "0,0,0,0",
@@ -465,7 +489,7 @@ class TestVerifyChain:
         def no_run(*args, **kwargs):
             raise AssertionError("the chain ran before --out was checked")
 
-        monkeypatch.setattr(cli, "run_chain_verification", no_run)
+        monkeypatch.setattr(proof_engine, "run_chain_verification", no_run)
         target = tmp_path / "no" / "x.json" if where == "missing_dir" else tmp_path
         code, out, err = run(
             ["verify-chain", "--qsqrt", "1/2", "--sigmas", "0,0,0,0",
