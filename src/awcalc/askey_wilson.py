@@ -23,7 +23,10 @@ S(x y) = U2 D y + alpha x S y (qoperators) step D x^m and S x^m up from
 D 1 = 0 and S 1 = 1, and linearity gives D^2 x^m and SD x^m from those.
 solve_operator_equation refuses to hand back a p_n that does not recheck
 to a zero residual, and the recheck applies D and S to p_n itself, never
-to a combination of the shared images.
+to a combination of the shared images. The recheck's images D p_n, D^2 p_n
+and SD p_n stay on the family (AWFamily.recheck), and the verification
+chain reads its first two derived orders, and the S images of the first,
+from them instead of applying D and S again (proof_engine).
 
 lambda_n - lambda_m factors as a nonzero multiple of
 (q^n - q^m)(q^(-n-m) - sigma4 q^(-1)), so collisions happen exactly when
@@ -40,7 +43,7 @@ is read back by rebuilding it from v, sigmas and N (family_from_dict).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
 
@@ -126,9 +129,23 @@ def _reject_degenerate(ctx: QContext, params: AWParams, N: int) -> None:
             return
 
 
-def _apply_L(ctx: QContext, f: PolyX, g: PolyX, y: PolyX) -> PolyX:
-    dy = apply_Dq(ctx, y)
-    return f * apply_Dq(ctx, dy) + g * apply_Sq(ctx, dy)
+@dataclass(frozen=True, eq=False)
+class RecheckImages:
+    """D p, D^2 p and SD p of one polynomial p, each applied to p itself.
+
+    An image is valid for p alone, so a reader compares its p with `is`:
+    a family rebuilt around another polynomial at the same index must not
+    inherit these."""
+
+    poly: PolyX
+    D: PolyX
+    D2: PolyX
+    SD: PolyX
+
+    @classmethod
+    def of(cls, ctx: QContext, p: PolyX) -> "RecheckImages":
+        dp = apply_Dq(ctx, p)
+        return cls(poly=p, D=dp, D2=apply_Dq(ctx, dp), SD=apply_Sq(ctx, dp))
 
 
 def _monomial_images(ctx: QContext, f: PolyX, g: PolyX, N: int) -> list[PolyX]:
@@ -159,8 +176,9 @@ def _monomial_images(ctx: QContext, f: PolyX, g: PolyX, N: int) -> list[PolyX]:
 
 
 def solve_operator_equation(ctx: QContext, params: AWParams,
-                            N: int) -> tuple[PolyX, ...]:
-    """Monic solutions p_0..p_N of L[y] = lambda_n y, p_n of degree n.
+                            N: int) -> tuple[RecheckImages, ...]:
+    """Monic solutions p_0..p_N of L[y] = lambda_n y, p_n of degree n, each
+    with the images its recheck applied (RecheckImages.poly is p_n).
 
     L[x^m] is computed once for m = 0..N from the product rules, without
     applying an operator, and each p_n comes from back-substitution down
@@ -174,7 +192,7 @@ def solve_operator_equation(ctx: QContext, params: AWParams,
         raise UsageError(f"degree must be >= 0, got {N}")
     f, g = equation_coeffs(ctx, params)
     images = _monomial_images(ctx, f, g, N)
-    polys: list[PolyX] = []
+    solved: list[RecheckImages] = []
     for n in range(N + 1):
         lam = eigenvalue(ctx, params, n)
         coeffs = [Fraction(0)] * n + [Fraction(1)]
@@ -188,10 +206,11 @@ def solve_operator_equation(ctx: QContext, params: AWParams,
                 )
             coeffs[m] = rhs / denom
         y = PolyX(tuple(coeffs))
-        if _apply_L(ctx, f, g, y) - lam * y:
+        rechecked = RecheckImages.of(ctx, y)
+        if f * rechecked.D2 + g * rechecked.SD - lam * y:
             raise InternalError("solved polynomial fails the equation recheck")
-        polys.append(y)
-    return tuple(polys)
+        solved.append(rechecked)
+    return tuple(solved)
 
 
 def three_term_data(polys: tuple[PolyX, ...]) -> tuple[tuple, tuple]:
@@ -255,7 +274,11 @@ class AWFamily(Ladder):
 
     Families hash and compare by identity: a cache keyed on a family costs
     O(1) per lookup instead of a walk over every coefficient. Two builds
-    from equal arguments are distinct keys that give equal reports."""
+    from equal arguments are distinct keys that give equal reports.
+
+    recheck holds the build recheck's images of p_0..p_N; it is not part
+    of the family's dict form, and a loaded family gets its own from the
+    rebuild."""
 
     ctx: QContext
     params: AWParams
@@ -263,15 +286,18 @@ class AWFamily(Ladder):
     polys: tuple[PolyX, ...]
     B: tuple[Rational, ...]
     C: tuple[Rational, ...]
+    recheck: tuple[RecheckImages, ...] = field(default=(), repr=False)
 
 
 def build_family(ctx: QContext, params: AWParams, N: int) -> AWFamily:
     if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise UsageError(f"family size must be an int >= 0, got {N!r}")
     _reject_degenerate(ctx, params, N)
-    polys = solve_operator_equation(ctx, params, N)
+    recheck = solve_operator_equation(ctx, params, N)
+    polys = tuple(images.poly for images in recheck)
     bs, cs = three_term_data(polys)
-    return AWFamily(ctx=ctx, params=params, N=N, polys=polys, B=bs, C=cs)
+    return AWFamily(ctx=ctx, params=params, N=N, polys=polys, B=bs, C=cs,
+                    recheck=recheck)
 
 
 def family_to_dict(family: AWFamily) -> dict:

@@ -47,6 +47,24 @@ and the S image of each ladder member, applied once, and serves every P,
 S, D, D^2 and SD image by (order, index). run_chain_verification creates
 one per run, and verify_chain_equation requires it.
 
+The build recheck feeds the bottom of the ladder. It applied D, D^2 and
+SD to every p_n (AWFamily.recheck), so orders 1 and 2 are read from it,
+
+    P[1]_n = D p_(n+1) / gamma_(n+1)
+    P[2]_n = D^2 p_(n+2) / (gamma_(n+2) gamma_(n+1))
+    S P[1]_n = SD p_(n+1) / gamma_(n+1),
+
+and only the orders above, and the S images of orders 0 and >= 2, apply
+an operator. An image is read only while the base still holds the very
+polynomial object it was computed from, so a family rebuilt around other
+polynomials (dataclasses.replace) derives from those.
+
+no_common_zeros is certified modulo a prime: D p and S p are scaled to
+integer polynomials, and their resultant is taken over GF(P) for the first
+listed prime P that divides neither leading coefficient. A nonzero residue
+proves the exact resultant nonzero; if every listed prime gives 0, the
+exact resultant over Q decides, so a failure always means it is exactly 0.
+
 chain_coeffs gives the closed-form displays. The test suite re-derives
 every one of them by anchored elimination on the ladder rows, without the
 closed forms (tests/helpers.py); the two must agree exactly. Note the x
@@ -58,12 +76,15 @@ verify_final_matches_aw closes the loop: the extracted (f, g) pair is
 matched, by an exact linear solve, to the four-parameter coefficient form
 of askey_wilson.equation_coeffs, recovering the parameter vector of the
 derived family together with the overall scale. It applies no operator:
-the eigenvalues it checks are the ones eq_final read off.
+the eigenvalues it checks are the ones eq_final read off. The aw_shift
+record then compares the recovered vector with the base's, shifted to
+sigma_j v^(j(k-1)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -71,6 +92,7 @@ from .askey_wilson import (
     AWFamily,
     AWParams,
     Ladder,
+    RecheckImages,
     eigenvalue,
     equation_coeffs,
     params_from_sigmas,
@@ -92,7 +114,7 @@ from .qoperators import (
     apply_Sq,
     structural_polys,
 )
-from .qpoly import PolyX, resultant
+from .qpoly import PolyX, resultant, resultant_mod
 from .scalars import QContext, Rational, alpha_k, format_rational, gamma
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +134,23 @@ class DerivedFamily(Ladder):
         return len(self.polys) - 1
 
 
+def _rechecked(base: AWFamily, n: int) -> RecheckImages | None:
+    """The build recheck's images of p_n, if the base still holds the
+    polynomial object they were computed from."""
+    if n < len(base.recheck) and base.recheck[n].poly is base.polys[n]:
+        return base.recheck[n]
+    return None
+
+
 @lru_cache(maxsize=None)
 def derived_family(base: AWFamily, k: int) -> DerivedFamily:
     """Build the k-th derived family P[k]_0..P[k]_(N-k), the most the base
     supports. k = 0 wraps the base itself, so code walking the ladder can
     treat P[0] uniformly. Order k >= 1 is built from order k-1 as
-    P[k]_n = D P[k-1]_(n+1) / gamma_(n+1); a ladder that breaks the
-    three-term recurrence raises OrthogonalityBroken naming its order.
+    P[k]_n = D P[k-1]_(n+1) / gamma_(n+1), where orders 1 and 2 read
+    D p_(n+k) and D^2 p_(n+k) from the build recheck when it has them; a
+    ladder that breaks the three-term recurrence raises
+    OrthogonalityBroken naming its order.
 
     Cached per (base, k), with the base keyed by identity: a lookup costs
     O(1) whatever the size of the base, and a second family built from
@@ -140,7 +172,13 @@ def derived_family(base: AWFamily, k: int) -> DerivedFamily:
     prev = derived_family(base, k - 1)
     out = []
     for n in range(top + 1):
-        pol = apply_Dq(ctx, prev.polys[n + 1]) / gamma(ctx, n + 1)
+        images = _rechecked(base, n + k) if k <= 2 else None
+        if images is None:
+            pol = apply_Dq(ctx, prev.polys[n + 1]) / gamma(ctx, n + 1)
+        elif k == 1:
+            pol = images.D / gamma(ctx, n + 1)
+        else:
+            pol = images.D2 / (gamma(ctx, n + 2) * gamma(ctx, n + 1))
         if pol.degree != n or pol.leading != 1:
             raise InternalError(f"derived polynomial at n={n} is not monic")
         out.append(pol)
@@ -285,12 +323,12 @@ class ChainWorkspace:
     """Every family and operator image one chain run reads, by (j, m).
 
     P(j, m) is the ladder member P[j]_m; S(j, m) its S image, applied once
-    through apply_Sq and kept; D, D2 and SD are read off the ladder without
-    applying D (see the module docstring), with explicit zeros where the
-    index leaves the ladder. Each order is fetched once through
-    derived_family, keyed by the identity of the base. A workspace
-    belongs to one base family and lives for one run;
-    run_chain_verification creates it.
+    through apply_Sq and kept, or read from the build recheck at j = 1; D,
+    D2 and SD are read off the ladder without applying D (see the module
+    docstring), with explicit zeros where the index leaves the ladder. Each
+    order is fetched once through derived_family, keyed by the identity of
+    the base. A workspace belongs to one base family and lives for one
+    run; run_chain_verification creates it.
     """
 
     def __init__(self, base: AWFamily):
@@ -309,7 +347,12 @@ class ChainWorkspace:
     def S(self, j: int, m: int) -> PolyX:
         key = (j, m)
         if key not in self._S:
-            self._S[key] = apply_Sq(self.base.ctx, self.P(j, m))
+            ctx = self.base.ctx
+            images = _rechecked(self.base, m + 1) if j == 1 else None
+            if images is None:
+                self._S[key] = apply_Sq(ctx, self.P(j, m))
+            else:
+                self._S[key] = images.SD / gamma(ctx, m + 1)
         return self._S[key]
 
     def D(self, j: int, m: int) -> PolyX:
@@ -450,14 +493,28 @@ def verify_chain_equation(
     return OperatorCheckResult(name=which, passed=not res, residual=res)
 
 
+# the primes check_no_common_zeros tries, in order: the Mersenne primes
+# 2^61 - 1, 2^89 - 1, 2^107 - 1 and 2^127 - 1
+CERTIFICATE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+def _integer_scaled(p: PolyX) -> PolyX:
+    """p times the lcm of its coefficients' denominators."""
+    return p * math.lcm(*(c.denominator for c in p.coeffs))
+
+
 def check_no_common_zeros(dp: PolyX, sp: PolyX) -> OperatorCheckResult:
     """Certify that the images dp = D p and sp = S p of a polynomial p share
-    no zero, via an exact resultant.
+    no zero, via their resultant.
 
     S keeps the degree, so p has degree >= 1 exactly when sp does. When dp
     is a nonzero constant the claim is vacuous and the constant itself is
-    the witness; otherwise the witness is the resultant, and the check
-    passes exactly when it is nonzero.
+    the witness. Otherwise dp and sp are scaled to integer polynomials and
+    the first prime P of CERTIFICATE_PRIMES that divides neither leading
+    coefficient and gives a nonzero residue r of their resultant mod P
+    passes the check with the witness "mod=<P>;res=<r>". If no prime does,
+    the witness is the exact resultant of dp and sp, and the check passes
+    exactly when it is nonzero.
     """
     if not sp or sp.degree < 1:
         raise DomainError("need the images of a polynomial of degree >= 1")
@@ -465,6 +522,14 @@ def check_no_common_zeros(dp: PolyX, sp: PolyX) -> OperatorCheckResult:
         return OperatorCheckResult(
             name="no_common_zeros", passed=True, witness=dp.coeffs[0]
         )
+    di, si = _integer_scaled(dp), _integer_scaled(sp)
+    for prime in CERTIFICATE_PRIMES:
+        if di.leading % prime and si.leading % prime:
+            residue = resultant_mod(di, si, prime)
+            if residue:
+                return OperatorCheckResult(
+                    name="no_common_zeros", passed=True,
+                    witness=f"mod={prime};res={residue}")
     w = resultant(dp, sp)
     return OperatorCheckResult(name="no_common_zeros", passed=w != 0, witness=w)
 
@@ -581,6 +646,7 @@ def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:
             add("proportionality", None, False, ext_error)
             add("aw_form_match", None, False,
                 "unavailable: proportionality failed")
+            add("aw_shift", None, False, "unavailable: proportionality failed")
             for n in range(2, hi_chain + 1):
                 add("eq_final", n, False, "unavailable: proportionality failed")
                 add("lambda_formula", n, False,
@@ -602,11 +668,20 @@ def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:
                     else f"{format_rational(mu[n])} != {format_rational(expected)}")
             try:
                 match = verify_final_matches_aw(ctx, extraction, mu)
+            except NoRationalMatch as exc:
+                add("aw_form_match", None, False, str(exc))
+                add("aw_shift", None, False, "unavailable: aw_form_match failed")
+            else:
                 sig = ",".join(format_rational(s) for s in match.params.sigmas)
                 add("aw_form_match", None, True,
                     f"c={format_rational(match.c)};sigmas={sig}")
-            except NoRationalMatch as exc:
-                add("aw_form_match", None, False, str(exc))
+                # P[k-1] has the base's sigma_j times v^(j(k-1)); the
+                # witness is the first index j that differs, or "0"
+                shifted = (ctx.v ** (j * (k - 1)) * s
+                           for j, s in enumerate(ws.base.params.sigmas, 1))
+                first = next((j for j, (got, want) in enumerate(
+                    zip(match.params.sigmas, shifted), 1) if got != want), 0)
+                add("aw_shift", None, first == 0, str(first))
 
     for n in range(3, hi_nonzero + 1):
         records.extend(check_nonvanishing(dfam, n))
@@ -640,10 +715,24 @@ def chain_orders(k_list: Iterable[int], N: int, n_max: int) -> list[int]:
     return ks
 
 
+def _window(base: AWFamily, cap: int) -> AWFamily:
+    """The base cut to degree cap, from the same polynomial objects and
+    recheck images; the base itself when it is no larger."""
+    if base.N <= cap:
+        return base
+    return replace(base, N=cap, polys=base.polys[: cap + 1], B=base.B[:cap],
+                   C=base.C[: cap - 1], recheck=base.recheck[: cap + 1])
+
+
 def run_chain_verification(
     base: AWFamily, k_list: Iterable[int], n_max: int
 ) -> ProofReport:
     """Run the whole chain for each k and collect the report.
+
+    The record windows stop growing at N = n_max + max(k) + 2, the size of
+    a fresh verify-chain build, so the chain runs on the base cut to that
+    degree: a larger base gives the same records, and only the context
+    reports its own N.
 
     A chain equation or certificate that does not hold becomes a failed
     record. Two things raise instead: bad arguments, including runs that
@@ -651,7 +740,7 @@ def run_chain_verification(
     polynomials break the three-term recurrence, so that no recurrence data
     exist to check against (OrthogonalityBroken, naming the order k)."""
     ks = chain_orders(k_list, base.N, n_max)
-    ws = ChainWorkspace(base)
+    ws = ChainWorkspace(_window(base, n_max + ks[-1] + 2))
     records: list[CheckRecord] = []
     for k in ks:
         records.extend(_verify_one_k(ws, k, n_max))

@@ -135,13 +135,15 @@ class OperatorCheckResult:
 
     For residual-style checks `passed` holds exactly when `residual` is the
     zero polynomial and `witness` is None. Value-style checks (resultants,
-    nonvanishing scalars) put the deciding scalar in `witness` instead.
+    nonvanishing scalars) put the deciding scalar in `witness` instead, or
+    a certificate already rendered as text, such as a resultant mod a
+    prime.
     """
 
     name: str
     passed: bool
     residual: PolyX | None = None
-    witness: Rational | None = None
+    witness: Rational | str | None = None
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,10 @@ class CheckRecord:
         """The record of one check result. A residual check, eq_final
         included, is witnessed by "0" or by the degree and leading
         coefficient of its nonzero residual; a value check by its deciding
-        rational."""
-        if result.residual is None:
+        rational, or by its certificate text."""
+        if isinstance(result.witness, str):
+            witness = result.witness
+        elif result.residual is None:
             witness = format_rational(result.witness)
         elif result.passed:
             witness = "0"

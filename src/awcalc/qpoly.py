@@ -17,6 +17,11 @@ diagonal or near-diagonal in this basis, which is why it exists.
 resultant() decides whether two polynomials share a root without ever
 leaving Q: it runs Euclid's remainder sequence on the coefficient lists
 and collects the leading-coefficient powers the sequence sheds.
+resultant_mod() runs the same sequence over GF(P) on two integer
+polynomials, for a prime P that divides neither leading coefficient, and
+gives their resultant reduced mod P (Collins, J. ACM 18, 1971). A nonzero
+residue proves the integer resultant nonzero; a zero residue proves
+nothing.
 """
 
 from __future__ import annotations
@@ -272,6 +277,56 @@ def from_laurent(lp: LaurentSym) -> PolyX:
     return out
 
 
+def _remainder_resultant(a: list, b: list, modulus: int | None):
+    """Res(a, b) of two nonzero coefficient lists, constant first, by
+    Euclid's remainder sequence over Q (modulus None) or over GF(modulus).
+
+    Each step divides a = b*q + c and uses
+
+        Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg c) * Res(b, c),
+
+    ending at 0 when a remainder vanishes and at lc(b)^(deg a) when b is a
+    constant. Over GF(modulus) the entries must already be reduced, with
+    nonzero leading ones. The lists are consumed.
+    """
+    if modulus is None:
+        zero, acc = Fraction(0), Fraction(1)
+
+        def red(value):
+            return value
+
+        def inverse(value):
+            return 1 / value
+    else:
+        zero, acc = 0, 1
+
+        def red(value):
+            return value % modulus
+
+        def inverse(value):
+            return pow(value, -1, modulus)
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        lead = b[-1]
+        inv = inverse(lead)
+        # a := a mod b, top coefficient first; the low db entries remain
+        for top in range(da, db - 1, -1):
+            f = red(a[top] * inv)
+            if f:
+                for j in range(db):
+                    a[top - db + j] = red(a[top - db + j] - f * b[j])
+        del a[db:]
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            return zero
+        if da * db % 2:
+            acc = red(-acc)
+        acc = red(acc * lead ** (da - (len(a) - 1)))
+        a, b = b, a
+    return red(acc * b[0] ** (len(a) - 1))
+
+
 def resultant(p: PolyX, r: PolyX) -> Rational:
     """Resultant of p and r; zero exactly when they share a root over the
     algebraic closure.
@@ -279,13 +334,8 @@ def resultant(p: PolyX, r: PolyX) -> Rational:
     The value is the textbook Res(r, p) = lc(r)^(deg p) * prod p(rho) over
     the roots rho of r, which is (-1)^(deg p * deg r) * Res(p, r). It
     comes from Euclid's remainder sequence over Q started at
-    (a, b) = (r, p): each step divides a = b*q + c and uses
-
-        Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg c) * Res(b, c),
-
-    ending at 0 when a remainder vanishes and at lc(b)^(deg a) when b is a
-    constant. So a constant gives value^(degree of the other), and two
-    constants give 1.
+    (a, b) = (r, p). So a constant gives value^(degree of the other), and
+    two constants give 1.
 
     >>> resultant(PolyX.x(), PolyX((-1, 1)))
     Fraction(1, 1)
@@ -295,24 +345,28 @@ def resultant(p: PolyX, r: PolyX) -> Rational:
     """
     if not p or not r:
         raise DomainError("resultant of the zero polynomial is undefined")
-    a, b = list(r.coeffs), list(p.coeffs)
-    acc = Fraction(1)
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        lead = b[-1]
-        # a := a mod b, top coefficient first; the low db entries remain
-        for top in range(da, db - 1, -1):
-            f = a[top] / lead
-            if f:
-                for j in range(db):
-                    a[top - db + j] -= f * b[j]
-        del a[db:]
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            return Fraction(0)
-        if da * db % 2:
-            acc = -acc
-        acc *= lead ** (da - (len(a) - 1))
-        a, b = b, a
-    return acc * b[0] ** (len(a) - 1)
+    return _remainder_resultant(list(r.coeffs), list(p.coeffs), None)
+
+
+def resultant_mod(p: PolyX, r: PolyX, modulus: int) -> int:
+    """resultant(p, r) of two integer polynomials, reduced mod a prime
+    that divides neither leading coefficient; an int in 0..modulus-1.
+
+    The resultant is a polynomial in the coefficients once the degrees are
+    fixed, and reduction mod the prime keeps both degrees, so this is
+    resultant(p, r) mod modulus. The prime is not checked for primality.
+
+    >>> resultant_mod(PolyX((-1, 1)), PolyX((-6, 1)), 7)    # x - 1, x - 6
+    5
+    >>> resultant_mod(PolyX((-1, 1)), PolyX((-6, 1)), 5)
+    0
+    """
+    if not p or not r:
+        raise DomainError("resultant of the zero polynomial is undefined")
+    if any(c.denominator != 1 for c in p.coeffs + r.coeffs):
+        raise DomainError("resultant_mod needs integer polynomials")
+    if p.leading % modulus == 0 or r.leading % modulus == 0:
+        raise DomainError(f"{modulus} divides a leading coefficient")
+    return _remainder_resultant([c.numerator % modulus for c in r.coeffs],
+                                [c.numerator % modulus for c in p.coeffs],
+                                modulus)

@@ -22,6 +22,9 @@ Euclid's remainder sequence, so the two share no step past the input
 coefficients. The determinant costs O(n^3) big-integer operations, which
 is why it lives here and not in src/.
 
+is_mersenne_prime is the Lucas-Lehmer test, which proves 2^e - 1 prime or
+composite; it checks the primes of the no_common_zeros certificate.
+
 kls_recurrence is the recurrence of the Askey-Wilson polynomials from
 Koekoek, Lesky and Swarttouw, "Hypergeometric Orthogonal Polynomials and
 Their q-Analogues" (2010), section 14.1, in closed form in the four roots.
@@ -366,3 +369,16 @@ def sylvester_resultant(p: PolyX, r: PolyX) -> Fraction:
         rows.append([0] * shift + pint + [0] * (size - shift - len(pint)))
     det = _bareiss_det(rows)
     return Fraction(det, mr ** dp * mp ** dr)
+
+
+def is_mersenne_prime(m: int) -> bool:
+    """Lucas-Lehmer: m = 2^e - 1 with e an odd prime is prime exactly when
+    s_(e-2) = 0 mod m, where s_0 = 4 and s_(i+1) = s_i^2 - 2. Any m not of
+    that form is rejected."""
+    e = m.bit_length()
+    if m != 2**e - 1 or e < 3 or any(e % d == 0 for d in range(2, math.isqrt(e) + 1)):
+        return False
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0

@@ -93,12 +93,14 @@ def assert_images_match(ctx, params, N):
     images = askey_wilson._monomial_images(ctx, f, g, N)
     assert len(images) == N + 1
     for m, image in enumerate(images):
-        assert image == askey_wilson._apply_L(ctx, f, g, PolyX.monomial(m)), m
+        dx = apply_Dq(ctx, PolyX.monomial(m))
+        assert image == f * apply_Dq(ctx, dx) + g * apply_Sq(ctx, dx), m
 
 
 class TestSolve:
     def test_known_low_degrees(self):
-        assert solve_operator_equation(HALF, QH, 3) == (
+        solved = solve_operator_equation(HALF, QH, 3)
+        assert tuple(rechecked.poly for rechecked in solved) == (
             PolyX.constant(1),
             PolyX.x(),
             PolyX((Fraction(-3, 16), 0, 1)),
@@ -107,7 +109,7 @@ class TestSolve:
 
     def test_solution_satisfies_the_equation(self):
         f, g = equation_coeffs(HALF, QH)
-        p = solve_operator_equation(HALF, QH, 4)[4]
+        p = solve_operator_equation(HALF, QH, 4)[4].poly
         lhs = f * apply_Dq(HALF, apply_Dq(HALF, p)) + g * apply_Sq(HALF, apply_Dq(HALF, p))
         assert lhs == eigenvalue(HALF, QH, 4) * p
 
@@ -140,6 +142,27 @@ class TestSolve:
         assert all(any(q is p for q in inputs["apply_Dq"]) for p in fam.polys)
         assert not [p for p in inputs["apply_Dq"]
                     if p.degree >= 1 and p == PolyX.monomial(p.degree)]
+
+    def test_recheck_images_are_the_operator_images(self):
+        # the images the chain reads for orders 1 and 2 are D and S applied
+        # to each p_n itself, kept on the family that holds p_n
+        for vtext, sigtext in PARAM_SETS:
+            fam = cached_family(vtext, sigtext, 8)
+            ctx = fam.ctx
+            assert len(fam.recheck) == len(fam.polys)
+            for p, rechecked in zip(fam.polys, fam.recheck):
+                assert rechecked.poly is p
+                dp = apply_Dq(ctx, p)
+                assert rechecked.D == dp
+                assert rechecked.D2 == apply_Dq(ctx, dp)
+                assert rechecked.SD == apply_Sq(ctx, dp)
+
+    def test_recheck_images_stay_out_of_the_dict_form(self):
+        fam = cached_family(*SET_B, 6)
+        assert set(family_to_dict(fam)) == {"v", "sigmas", "N", "polys", "B", "C"}
+        loaded = family_from_dict(family_to_dict(fam))
+        assert [r.poly for r in loaded.recheck] == list(loaded.polys)
+        assert all(r.poly is p for r, p in zip(loaded.recheck, loaded.polys))
 
     @pytest.mark.parametrize("vtext", ["1/2", "1/3", "2/3"])
     def test_monomial_images_match_the_applied_operators(self, vtext):

@@ -31,7 +31,7 @@ from awcalc.cli import main
 from awcalc.errors import InternalError, OrthogonalityBroken
 from awcalc.qpoly import random_poly
 from awcalc.scalars import format_rational
-from helpers import SET_C, cached_family, checkout_env, qsqrts, sigma_vectors
+from helpers import cached_family, checkout_env, qsqrts, sigma_vectors
 from fractions import Fraction
 
 
@@ -672,14 +672,16 @@ class TestParser:
 
 # sha256 of stdout, recorded before the operator equation shared its
 # monomial images across degrees (build, chain) and before the identity checks
-# shared theirs (identities); any change to the output bytes shows here
+# shared theirs (identities); any change to the output bytes shows here. The
+# chain digest was re-recorded when no_common_zeros became a resultant mod a
+# prime and the aw_shift records were added.
 GOLDEN_OUTPUTS = [
     (["build-family", "--qsqrt", "1/2", "--sigmas=11/30,-2/15,-1/30,0",
       "--nmax", "12"],
      "00ccf731c79b2b9b68573814620fa462693352cb79fbad32f46adcc0f720e2cd"),
     (["verify-chain", "--qsqrt", "1/3", "--sigmas=-3/2,2,1/4,-1", "--nmax", "7",
       "--k", "1,2,3"],
-     "ab932b7aa8de9b9f0623d53a5a14b5452a58c8c7334892c2f45d1603e92e06a0"),
+     "0dff421c2103c2713275c70f2722f52d372b292b32fcd35d54c104da40d1415a"),
     (["verify-identities", "--qsqrt", "2/3", "--trials", "3", "--seed", "5"],
      "85c317fd45a8cf6e9f0ca6fe6da055075d5b56b769162bc4c27c2b57112e06ad"),
 ]
@@ -695,16 +697,19 @@ def test_output_bytes_are_pinned(argv, digest):
 
 
 def test_chain_runs_past_the_int_str_digit_limit():
-    # the no_common_zeros witnesses of P^[k]_12 run past 4,300 digits
-    vtext, sigtext = SET_C
+    # a sigma of 5,001 digits is read, echoed in the context, and carried
+    # into nonzero_* witnesses that run past 4,300 digits
+    sigma1 = f"1{'0' * 4999}1/3"
     done = subprocess.run(
-        [sys.executable, "-m", "awcalc", "verify-chain", "--qsqrt", vtext,
-         f"--sigmas={sigtext}", "--nmax", "12", "--k", "1,2,3"],
+        [sys.executable, "-m", "awcalc", "verify-chain", "--qsqrt", "1/3",
+         f"--sigmas={sigma1},3/40,-1/20,-1/120", "--nmax", "3", "--k", "1"],
         capture_output=True, env=checkout_env())
     assert done.returncode == 0, done.stderr
-    checks = json.loads(done.stdout)["checks"]
+    blob = json.loads(done.stdout)
+    assert blob["context"]["sigmas"][0] == sigma1
+    checks = blob["checks"]
     assert all(c["passed"] for c in checks)
-    digits = [len(part) for c in checks if c["name"] == "no_common_zeros"
+    digits = [len(part) for c in checks if c["name"].startswith("nonzero_")
               for part in c["witness"].lstrip("-").split("/")]
     assert max(digits) > 4300
 

@@ -15,7 +15,7 @@ DEMO_STDOUT = {
     "operator_walkthrough.py":
         "c5b10082f8ee9ab4ea28623879cf581177327c8a4596c509d3c7f0362f024917",
     "derived_family_tour.py":
-        "e3537fd68e8799af75734edd6169d6aa0ff0ee7b81a1cbd2d34a7f383803c37e",
+        "0988198521970bd56e7776db1868581559e2a63757a58f37138c19fac86138f3",
 }
 
 

@@ -1,12 +1,15 @@
 """Derived families, chain coefficient displays, and the verification chain."""
 
 import gc
+import json
+import math
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awcalc import (
     ChainWorkspace,
@@ -24,6 +27,7 @@ from awcalc import (
     verify_final_matches_aw,
 )
 from awcalc import proof_engine, qoperators
+from awcalc.askey_wilson import family_from_dict, family_to_dict
 from awcalc.errors import (
     DegenerateParams,
     DomainError,
@@ -33,6 +37,7 @@ from awcalc.errors import (
     UsageError,
 )
 from awcalc.proof_engine import (
+    CERTIFICATE_PRIMES,
     CHAIN_EQUATIONS,
     AWMatch,
     CheckRecord,
@@ -44,6 +49,7 @@ from awcalc.proof_engine import (
     verify_chain_equation,
 )
 from awcalc.qoperators import OperatorCheckResult
+from awcalc.qpoly import resultant, resultant_mod
 from awcalc.scalars import alpha_k
 from helpers import (
     PARAM_SETS,
@@ -53,8 +59,10 @@ from helpers import (
     chain_coeffs_by_elimination,
     dq_power,
     gamma_factorial,
+    is_mersenne_prime,
     qsqrts,
     sigma_vectors,
+    sylvester_resultant,
 )
 
 QH8 = cached_family("1/2", "0,0,0,0", 8)
@@ -244,12 +252,44 @@ def _images(ctx, p):
     return apply_Dq(ctx, p), apply_Sq(ctx, p)
 
 
+def _integer_pair(dp, sp):
+    """dp and sp, each times the lcm of its own denominators."""
+    return tuple(p * math.lcm(*(c.denominator for c in p.coeffs))
+                 for p in (dp, sp))
+
+
+def _modular_witness(witness):
+    prime, residue = (part.split("=")[1] for part in witness.split(";"))
+    return int(prime), int(residue)
+
+
 class TestNoCommonZeros:
     def test_resultant_certificate(self):
         ctx = QH8.ctx
         for n in range(2, 7):
             res = check_no_common_zeros(*_images(ctx, QH8.poly(n)))
-            assert res.passed and res.witness != 0
+            assert res.passed and res.witness.startswith("mod=")
+
+    def test_listed_primes_are_mersenne_primes(self):
+        assert CERTIFICATE_PRIMES == tuple(2**e - 1 for e in (61, 89, 107, 127))
+        assert all(is_mersenne_prime(p) for p in CERTIFICATE_PRIMES)
+
+    def test_witness_is_the_sylvester_determinant_mod_the_prime(self):
+        # on chain images: the resultant of the integer-scaled pair as a
+        # determinant, reduced mod the first prime that divides neither
+        # leading coefficient
+        base = cached_family(*SET_C, 14)
+        ws = ChainWorkspace(base)
+        for k in (1, 2, 3):
+            for n in range(2, 11):
+                dp, sp = ws.D(k, n), ws.S(k, n)
+                witness = check_no_common_zeros(dp, sp).witness
+                di, si = _integer_pair(dp, sp)
+                prime = next(p for p in CERTIFICATE_PRIMES
+                             if di.leading % p and si.leading % p)
+                exact = sylvester_resultant(di, si)
+                assert exact.denominator == 1
+                assert _modular_witness(witness) == (prime, exact.numerator % prime)
 
     def test_shared_zero_detected(self):
         # both operator images vanish at x = 5/3 (lattice point of z = 3)
@@ -257,6 +297,42 @@ class TestNoCommonZeros:
         p = PolyX((Fraction(481, 144), Fraction(-25, 6), 1))
         res = check_no_common_zeros(*_images(ctx, p))
         assert not res.passed and res.witness == 0
+
+    def test_shared_factor_fails_mod_every_prime_and_exactly(self):
+        # a common factor x - 2/3 makes every residue 0, so the check falls
+        # back to the exact resultant, which is 0 under both oracles
+        common = PolyX((Fraction(-2, 3), 1))
+        dp = common * PolyX((Fraction(1, 5), 3))
+        sp = common * PolyX((7, Fraction(-1, 2), 2))
+        di, si = _integer_pair(dp, sp)
+        assert all(resultant_mod(di, si, p) == 0 for p in CERTIFICATE_PRIMES)
+        assert sylvester_resultant(dp, sp) == 0
+        res = check_no_common_zeros(dp, sp)
+        assert not res.passed and res.witness == 0
+        assert CheckRecord.of(res, 1, 3).witness == "0"
+
+    def test_a_zero_residue_moves_to_the_next_prime(self, monkeypatch):
+        # Res(x - 6, x - 1) = 5: zero mod 5, so the next prime certifies
+        dp, sp = PolyX((-1, 1)), PolyX((-6, 1))
+        assert resultant(dp, sp) == 5
+        monkeypatch.setattr(proof_engine, "CERTIFICATE_PRIMES",
+                            (5, CERTIFICATE_PRIMES[0]))
+        res = check_no_common_zeros(dp, sp)
+        assert res.passed
+        assert res.witness == f"mod={CERTIFICATE_PRIMES[0]};res=5"
+
+    def test_a_prime_dividing_a_leading_coefficient_is_skipped(self, monkeypatch):
+        # 5 divides lc(5x - 1); Res(x - 6, 5x - 1) = 29 = 1 mod 7
+        monkeypatch.setattr(proof_engine, "CERTIFICATE_PRIMES", (5, 7))
+        res = check_no_common_zeros(PolyX((-1, 5)), PolyX((-6, 1)))
+        assert res.passed and res.witness == "mod=7;res=1"
+
+    def test_no_certifying_prime_falls_back_to_the_exact_resultant(
+            self, monkeypatch):
+        monkeypatch.setattr(proof_engine, "CERTIFICATE_PRIMES", (5,))
+        res = check_no_common_zeros(PolyX((-1, 1)), PolyX((-6, 1)))
+        assert res.passed and res.witness == 5
+        assert CheckRecord.of(res, 1, 1).witness == "5"
 
     def test_degree_one_is_vacuous(self):
         ctx = make_qcontext(Fraction(1, 2))
@@ -297,6 +373,51 @@ class TestFinalMatch:
             match = verify_final_matches_aw(B8.ctx, extraction, mu)
             expect = tuple(v ** ((k - 1) * j) * s for j, s in enumerate(base_sigmas, 1))
             assert match.params.sigmas == expect
+
+    def test_aw_shift_records_the_shift(self):
+        # the record form of the assertion above, in a run
+        recs = {(c.name, c.k): c for c in run_chain_verification(B8, [1, 2, 3], 5).checks}
+        for k in (1, 2, 3):
+            assert recs[("aw_shift", k)] == CheckRecord(
+                name="aw_shift", k=k, n=None, passed=True, witness="0")
+
+    def test_relabelled_params_fail_aw_shift_alone(self):
+        # the polynomials are B8's, so every chain record still passes and
+        # aw_form_match recovers B8's own shifted sigmas; only aw_shift sees
+        # that they are not the claimed parameters shifted
+        relabelled = replace(B8, params=params_from_sigmas(
+            *reversed(B8.params.sigmas)))
+        failed = [c for c in run_chain_verification(relabelled, [1, 2, 3], 5).checks
+                  if not c.passed]
+        assert failed == [CheckRecord(name="aw_shift", k=k, n=None, passed=False,
+                                      witness="1") for k in (1, 2, 3)]
+
+    def test_last_sigma_is_compared_too(self):
+        v = B8.ctx.v
+        s1, s2, s3, s4 = B8.params.sigmas
+        # sigma4 of B8 is 0, so a nonzero one is the first difference
+        claimed = replace(B8, params=params_from_sigmas(s1, s2, s3, v))
+        recs = {(c.name, c.k): c for c in run_chain_verification(claimed, [2], 5).checks}
+        assert recs[("aw_shift", 2)].witness == "4"
+        assert not recs[("aw_shift", 2)].passed
+
+    def test_aw_shift_is_unavailable_without_a_match(self, monkeypatch):
+        def no_match(*args):
+            raise NoRationalMatch("round trip through the coefficient form mismatched")
+
+        monkeypatch.setattr(proof_engine, "verify_final_matches_aw", no_match)
+        recs = {(c.name, c.k): c for c in run_chain_verification(B8, [1], 5).checks}
+        assert not recs[("aw_form_match", 1)].passed
+        assert recs[("aw_shift", 1)] == CheckRecord(
+            name="aw_shift", k=1, n=None, passed=False,
+            witness="unavailable: aw_form_match failed")
+
+    def test_aw_shift_is_unavailable_without_proportionality(self):
+        bad = replace(B8, C=B8.C[:1] + (B8.C[1] + 1,) + B8.C[2:])
+        recs = {(c.name, c.k): c for c in run_chain_verification(bad, [1], 5).checks}
+        assert recs[("aw_shift", 1)] == CheckRecord(
+            name="aw_shift", k=1, n=None, passed=False,
+            witness="unavailable: proportionality failed")
 
     def test_zero_scale_has_no_match(self):
         fake = ExtractionResult(
@@ -380,10 +501,48 @@ class TestRunChainVerification:
         with pytest.raises(UsageError, match=r"got True$"):
             run_chain_verification(B8, [1, True], 3)
 
+    def test_a_larger_base_is_cut_to_the_window(self, monkeypatch):
+        # derived_family sees the base cut to n_max + max(k) + 2, built from
+        # the same polynomial objects, so the recheck images still apply
+        base = cached_family(*SET_B, 14)
+        bases = []
+
+        def recording(fam, k, _real=derived_family):
+            bases.append(fam)
+            return _real(fam, k)
+
+        monkeypatch.setattr(proof_engine, "derived_family", recording)
+        report = run_chain_verification(base, [1, 3], 4)
+        assert report.context["N"] == 14
+        assert bases and {fam.N for fam in bases} == {9}
+        for fam in bases:
+            assert all(p is q for p, q in zip(fam.polys, base.polys[:10], strict=True))
+            assert all(r is s for r, s in zip(fam.recheck, base.recheck[:10], strict=True))
+
     def test_duplicate_orders_collapse(self):
         once = run_chain_verification(QH8, [2], 4)
         twice = run_chain_verification(QH8, [2, 2], 4)
         assert once.checks == twice.checks
+
+
+# a family file larger than the window gives the records of a fresh run; the
+# context alone reports the file's N. A point takes up to about 0.5 s.
+@given(qsqrts, sigma_vectors, st.integers(2, 3),
+       st.sets(st.integers(1, 3), min_size=1), st.integers(0, 6))
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_family_file_past_the_window_gives_the_fresh_records(
+        v, sigmas, n_max, ks, extra):
+    window = n_max + max(ks) + 2
+    try:
+        fresh = build_family(make_qcontext(v), params_from_sigmas(*sigmas), window)
+        big = build_family(fresh.ctx, fresh.params, window + extra)
+    except (DegenerateParams, EigenvalueCollision):
+        return
+    loaded = family_from_dict(json.loads(json.dumps(family_to_dict(big))))
+    got = run_chain_verification(loaded, ks, n_max)
+    want = run_chain_verification(fresh, ks, n_max)
+    assert got.checks == want.checks
+    assert got.context == {**want.context, "N": window + extra}
 
 
 # the paper's claim at random parameter points: every derived family up to
@@ -481,13 +640,36 @@ def test_each_operator_image_is_computed_once(monkeypatch):
 
 
 def test_operator_applications_of_a_run(monkeypatch):
-    # one D per derived polynomial: P[1]..P[4] of B8 take 8 + 7 + 6 + 5, and
-    # every other D image, no_common_zeros' included, is a ladder read;
-    # one S per ladder member read, P[j]_1..P[j]_5 for j = 0..3
+    # one D per derived polynomial above order 2: P[3] and P[4] of B8 take
+    # 6 + 5, since P[1] and P[2] are read from the build recheck, and every
+    # other D image, no_common_zeros' included, is a ladder read; one S per
+    # ladder member read, P[j]_1..P[j]_5 for j = 0, 2, 3, since the recheck
+    # holds the S images of P[1] too
     inputs = _operator_inputs_of_a_run(monkeypatch)
     assert {name: len(seen) for name, seen in inputs.items()} == {
-        "apply_Dq": 26, "apply_Sq": 20,
+        "apply_Dq": 11, "apply_Sq": 15,
     }
+
+
+def test_a_replaced_polynomial_does_not_reuse_the_recheck(monkeypatch):
+    # the recheck images belong to the polynomial objects they came from; a
+    # family that holds an equal copy of p_5 derives from the copy, through
+    # D and S, and gives the same records
+    polys = list(B8.polys)
+    polys[5] = PolyX(polys[5].coeffs)
+    copied = replace(B8, polys=tuple(polys))
+    inputs = {"apply_Dq": [], "apply_Sq": []}
+    for name, seen in inputs.items():
+        def recording(ctx, p, _apply=getattr(proof_engine, name), _seen=seen):
+            _seen.append(p)
+            return _apply(ctx, p)
+        monkeypatch.setattr(proof_engine, name, recording)
+    report = run_chain_verification(copied, [1, 2], 5)
+    assert report.checks == run_chain_verification(B8, [1, 2], 5).checks
+    # D p_5 for P[1]_4, D P[1]_4 for P[2]_3, S P[1]_4 for the chain
+    assert any(p is polys[5] for p in inputs["apply_Dq"])
+    assert len(inputs["apply_Dq"]) == 2 + 6
+    assert any(p is derived_family(copied, 1).poly(4) for p in inputs["apply_Sq"])
 
 
 def test_check_record_is_plain_data():
@@ -528,10 +710,12 @@ class TestCheckRecordOf:
         ctx = make_qcontext(Fraction(1, 2))
         constant = check_no_common_zeros(*_images(ctx, PolyX((1, 2))))
         assert CheckRecord.of(constant, 1, 1).witness == "2"
-        resultant = check_no_common_zeros(*_images(QH8.ctx, QH8.poly(3)))
-        assert CheckRecord.of(resultant, 1, 3) == CheckRecord(
+        # the exact resultant is -6251175/65536; the witness is that of
+        # the integer-scaled pair, mod 2^61 - 1
+        certified = check_no_common_zeros(*_images(QH8.ctx, QH8.poly(3)))
+        assert CheckRecord.of(certified, 1, 3) == CheckRecord(
             name="no_common_zeros", k=1, n=3, passed=True,
-            witness="-6251175/65536")
+            witness="mod=2305843009213693951;res=2305841370505674751")
 
 
 def _rec(name, k, n, witness="0"):
