@@ -21,12 +21,13 @@ every p_n by exact back-substitution on it. The table applies neither D
 nor S: the product rules D(x y) = S y + alpha x D y and
 S(x y) = U2 D y + alpha x S y (qoperators) step D x^m and S x^m up from
 D 1 = 0 and S 1 = 1, and linearity gives D^2 x^m and SD x^m from those.
-solve_operator_equation refuses to hand back a p_n that does not recheck
-to a zero residual, and the recheck applies D and S to p_n itself, never
-to a combination of the shared images. The recheck's images D p_n, D^2 p_n
-and SD p_n stay on the family (AWFamily.recheck), and the verification
-chain reads its first two derived orders, and the S images of the first,
-from them instead of applying D and S again (proof_engine).
+solve_operator_equation yields each p_n only once it rechecks to a zero
+residual, and the recheck applies D and S, through the family's
+OperatorImages table, to p_n and its images, never to a combination of the
+shared monomial images. The table stays on the family (AWFamily.images),
+so the verification chain reads its first two derived orders, and the S
+images of the first, from the recheck instead of applying D and S again
+(proof_engine).
 
 lambda_n - lambda_m factors as a nonzero multiple of
 (q^n - q^m)(q^(-n-m) - sigma4 q^(-1)), so collisions happen exactly when
@@ -38,7 +39,8 @@ A family carries its three-term recurrence data
     x p_n = p_(n+1) + B_n p_n + C_n p_(n-1),
 
 extracted exactly from the polynomials themselves. Its plain-JSON dict form
-is read back by rebuilding it from v, sigmas and N (family_from_dict).
+is read back by rebuilding it from v, sigmas and N (family_from_dict),
+which compares each stored p_n as soon as the rebuild yields it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
+from typing import Iterator, Sequence
 
 from .errors import (
     DegenerateParams,
@@ -55,13 +58,14 @@ from .errors import (
     OrthogonalityBroken,
     UsageError,
 )
-from .qoperators import apply_Dq, apply_Sq, structural_polys
+from .qoperators import OperatorImages, structural_polys
 from .qpoly import PolyX
 from .scalars import (
     QContext,
     Rational,
     as_rational,
     format_rational,
+    gamma,
     make_qcontext,
     parse_rational,
 )
@@ -129,25 +133,6 @@ def _reject_degenerate(ctx: QContext, params: AWParams, N: int) -> None:
             return
 
 
-@dataclass(frozen=True, eq=False)
-class RecheckImages:
-    """D p, D^2 p and SD p of one polynomial p, each applied to p itself.
-
-    An image is valid for p alone, so a reader compares its p with `is`:
-    a family rebuilt around another polynomial at the same index must not
-    inherit these."""
-
-    poly: PolyX
-    D: PolyX
-    D2: PolyX
-    SD: PolyX
-
-    @classmethod
-    def of(cls, ctx: QContext, p: PolyX) -> "RecheckImages":
-        dp = apply_Dq(ctx, p)
-        return cls(poly=p, D=dp, D2=apply_Dq(ctx, dp), SD=apply_Sq(ctx, dp))
-
-
 def _monomial_images(ctx: QContext, f: PolyX, g: PolyX, N: int) -> list[PolyX]:
     """L[x^m] for m = 0..N, without applying D or S.
 
@@ -175,42 +160,47 @@ def _monomial_images(ctx: QContext, f: PolyX, g: PolyX, N: int) -> list[PolyX]:
     return images
 
 
-def solve_operator_equation(ctx: QContext, params: AWParams,
-                            N: int) -> tuple[RecheckImages, ...]:
-    """Monic solutions p_0..p_N of L[y] = lambda_n y, p_n of degree n, each
-    with the images its recheck applied (RecheckImages.poly is p_n).
+def solve_operator_equation(images: OperatorImages, params: AWParams,
+                            N: int) -> Iterator[PolyX]:
+    """Yield the monic solutions p_0..p_N of L[y] = lambda_n y in order,
+    p_n of degree n, each as soon as its recheck passes.
 
-    L[x^m] is computed once for m = 0..N from the product rules, without
-    applying an operator, and each p_n comes from back-substitution down
-    that one triangular coefficient matrix. Per degree, raises
-    EigenvalueCollision if lambda_n meets a lower diagonal entry, and
-    InternalError if L[p_n] - lambda_n p_n, recomputed by applying D and S
-    to p_n itself, is not exactly zero. So a build applies D 2(N + 1)
-    times and S N + 1 times, all in the recheck.
+    L[x^m] is computed once for m = 0..N, before p_0, from the product
+    rules, without applying an operator, and each p_n comes from
+    back-substitution down that one triangular coefficient matrix. Per
+    degree, raises EigenvalueCollision if lambda_n meets a lower diagonal
+    entry, and InternalError unless
+
+        gamma_n (gamma_(n-1) f step(step p_n) + g S(step p_n)) = lambda_n p_n
+
+    holds exactly, which is L[p_n] = lambda_n p_n, since
+    step(p) = D p / gamma_n (qoperators.OperatorImages). So a build applies
+    D 2(N + 1) times and S N + 1 times, all in the recheck, and leaves
+    step(p_n), step(step p_n) and S(step p_n) in `images`.
     """
     if N < 0:
         raise UsageError(f"degree must be >= 0, got {N}")
+    ctx = images.ctx
     f, g = equation_coeffs(ctx, params)
-    images = _monomial_images(ctx, f, g, N)
-    solved: list[RecheckImages] = []
+    table = _monomial_images(ctx, f, g, N)
     for n in range(N + 1):
         lam = eigenvalue(ctx, params, n)
         coeffs = [Fraction(0)] * n + [Fraction(1)]
         for m in reversed(range(n)):
-            rhs = sum((images[j].coeff(m) * coeffs[j] for j in range(m + 1, n + 1)),
+            rhs = sum((table[j].coeff(m) * coeffs[j] for j in range(m + 1, n + 1)),
                       Fraction(0))
-            denom = lam - images[m].coeff(m)
+            denom = lam - table[m].coeff(m)
             if denom == 0:
                 raise EigenvalueCollision(
                     f"lambda_{n} equals the diagonal entry at degree {m}"
                 )
             coeffs[m] = rhs / denom
         y = PolyX(tuple(coeffs))
-        rechecked = RecheckImages.of(ctx, y)
-        if f * rechecked.D2 + g * rechecked.SD - lam * y:
+        dy = images.step(y)
+        lhs = gamma(ctx, n - 1) * f * images.step(dy) + g * images.S(dy)
+        if gamma(ctx, n) * lhs - lam * y:
             raise InternalError("solved polynomial fails the equation recheck")
-        solved.append(rechecked)
-    return tuple(solved)
+        yield y
 
 
 def three_term_data(polys: tuple[PolyX, ...]) -> tuple[tuple, tuple]:
@@ -276,9 +266,9 @@ class AWFamily(Ladder):
     O(1) per lookup instead of a walk over every coefficient. Two builds
     from equal arguments are distinct keys that give equal reports.
 
-    recheck holds the build recheck's images of p_0..p_N; it is not part
-    of the family's dict form, and a loaded family gets its own from the
-    rebuild."""
+    images is the OperatorImages table the build recheck filled; it is not
+    part of the family's dict form, and a loaded family gets its own from
+    the rebuild."""
 
     ctx: QContext
     params: AWParams
@@ -286,18 +276,31 @@ class AWFamily(Ladder):
     polys: tuple[PolyX, ...]
     B: tuple[Rational, ...]
     C: tuple[Rational, ...]
-    recheck: tuple[RecheckImages, ...] = field(default=(), repr=False)
+    images: OperatorImages = field(repr=False)
 
 
 def build_family(ctx: QContext, params: AWParams, N: int) -> AWFamily:
+    return _build(ctx, params, N)
+
+
+def _build(ctx: QContext, params: AWParams, N: int,
+           stored: Sequence[list] | None = None) -> AWFamily:
+    """build_family; with `stored`, each p_n is compared with stored[n] as
+    soon as it is solved, and the first that differs raises FamilyMismatch
+    before any higher degree is solved."""
     if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise UsageError(f"family size must be an int >= 0, got {N!r}")
     _reject_degenerate(ctx, params, N)
-    recheck = solve_operator_equation(ctx, params, N)
-    polys = tuple(images.poly for images in recheck)
+    images = OperatorImages(ctx)
+    solved = []
+    for n, p in enumerate(solve_operator_equation(images, params, N)):
+        if stored is not None and p.to_json() != stored[n]:
+            raise _mismatch("polys", n)
+        solved.append(p)
+    polys = tuple(solved)
     bs, cs = three_term_data(polys)
     return AWFamily(ctx=ctx, params=params, N=N, polys=polys, B=bs, C=cs,
-                    recheck=recheck)
+                    images=images)
 
 
 def family_to_dict(family: AWFamily) -> dict:
@@ -311,6 +314,11 @@ def family_to_dict(family: AWFamily) -> dict:
     }
 
 
+def _mismatch(key: str, i: int) -> FamilyMismatch:
+    return FamilyMismatch(
+        f"{key}[{i}] differs from the family that v, sigmas and N determine")
+
+
 def _check_rational_list(value, what: str) -> None:
     if not isinstance(value, list):
         raise UsageError(f"{what} must be a list of rational strings")
@@ -322,10 +330,12 @@ def family_from_dict(data: dict) -> AWFamily:
     """Rebuild the family that the dict's v, sigmas and N determine.
 
     The header, and that polys, B and C hold lists of rational literals,
-    are checked before any build (UsageError). The stored polys,
-    B and C must then equal what family_to_dict writes for the rebuilt
-    family, or FamilyMismatch names the first list and index that differ.
-    Each monic solution is unique, so this accepts exactly the files whose
+    are checked before any build (UsageError). The stored polys, B and C
+    must then equal what family_to_dict writes for the rebuilt family, or
+    FamilyMismatch names the first list and index that differ. Each p_n is
+    compared as soon as the rebuild solves it, so a wrong p_n stops the
+    rebuild at degree n; B and C are compared once every p_n matched. Each
+    monic solution is unique, so this accepts exactly the files whose
     polynomials solve their own equation and carry their own recurrence."""
     if not isinstance(data, dict):
         raise UsageError("family data must be a JSON object")
@@ -346,13 +356,12 @@ def family_from_dict(data: dict) -> AWFamily:
         _check_rational_list(poly, f"polys[{j}]")
     _check_rational_list(data["B"], "B")
     _check_rational_list(data["C"], "C")
-    family = build_family(ctx, params, N)
-    rebuilt = family_to_dict(family)
-    for key in ("polys", "B", "C"):
-        stored, want = data[key], rebuilt[key]
+    family = _build(ctx, params, N, data["polys"])
+    for key, values in (("B", family.B), ("C", family.C)):
+        stored = data[key]
+        want = [format_rational(value) for value in values]
         if stored != want:
-            pairs = zip(stored, want) if isinstance(stored, list) else ()
-            i = sum(1 for _ in takewhile(lambda pair: pair[0] == pair[1], pairs))
-            raise FamilyMismatch(f"{key}[{i}] differs from the family that "
-                                 "v, sigmas and N determine")
+            pairs = zip(stored, want)
+            raise _mismatch(key, sum(1 for _ in takewhile(
+                lambda pair: pair[0] == pair[1], pairs)))
     return family

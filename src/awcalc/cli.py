@@ -160,7 +160,7 @@ def _run_build(args) -> tuple[str, bool]:
 
 def _run_chain(args) -> tuple[str, bool]:
     from .askey_wilson import build_family, family_from_dict
-    from .proof_engine import chain_orders, run_chain_verification
+    from .proof_engine import chain_orders, chain_window, run_chain_verification
     from .scalars import make_qcontext, parse_rational
 
     ks = _parse_klist(args.k)
@@ -180,7 +180,7 @@ def _run_chain(args) -> tuple[str, bool]:
             raise UsageError("--qsqrt is required unless --family is given")
         ctx = make_qcontext(parse_rational(args.qsqrt))
         params = _params_from_args(args)
-        N = args.nmax + max(ks) + 2
+        N = chain_window(ks, args.nmax)
         chain_orders(ks, N, args.nmax)
         base = build_family(ctx, params, N)
     report = run_chain_verification(base, ks, args.nmax)

@@ -32,9 +32,10 @@ rather than checked as another. The tags are also the record names in the
 JSON report, so they are part of the wire format.
 
 The derived families form a ladder, D P[k-1]_m = gamma_m P[k]_(m-1), and
-derived_family builds each order from the one below with a single D per
-polynomial. So every image a residual at order k reads is a scaled ladder
-member and is never computed again:
+derived_family builds each order from the one below with one step of the
+base's OperatorImages table per polynomial, P[k]_n = step(P[k-1]_(n+1)),
+where step(p) = D p / gamma_(deg p). So every image a residual at order k
+reads is a scaled ladder member and is never computed again:
 
     D P[k-1]_m   = gamma_m P[k]_(m-1)
     D^2 P[k-1]_m = gamma_m gamma_(m-1) P[k+1]_(m-2)
@@ -42,22 +43,19 @@ member and is never computed again:
 
 The images no_common_zeros certifies at order k are ladder reads too:
 D P[k]_n = gamma_n P[k+1]_(n-1), and S P[k]_n is the S image that
-SD P[k-1]_(n+1) reads. A ChainWorkspace holds the ladder orders of one run
-and the S image of each ladder member, applied once, and serves every P,
-S, D, D^2 and SD image by (order, index). run_chain_verification creates
-one per run, and verify_chain_equation requires it.
+SD P[k-1]_(n+1) reads. A ChainWorkspace serves every P, S, D, D^2 and SD
+image of one run by (order, index): P from derived_family, S from the
+base's table, and D, D^2 and SD off the ladder. run_chain_verification
+creates one per run, and verify_chain_equation requires it.
 
-The build recheck feeds the bottom of the ladder. It applied D, D^2 and
-SD to every p_n (AWFamily.recheck), so orders 1 and 2 are read from it,
-
-    P[1]_n = D p_(n+1) / gamma_(n+1)
-    P[2]_n = D^2 p_(n+2) / (gamma_(n+2) gamma_(n+1))
-    S P[1]_n = SD p_(n+1) / gamma_(n+1),
-
-and only the orders above, and the S images of orders 0 and >= 2, apply
-an operator. An image is read only while the base still holds the very
-polynomial object it was computed from, so a family rebuilt around other
-polynomials (dataclasses.replace) derives from those.
+The build recheck feeds the bottom of the ladder. It took step(p_n),
+step(step p_n) and S(step p_n) of every p_n through the same table
+(AWFamily.images), which are P[1]_(n-1), P[2]_(n-2) and S P[1]_(n-1). So
+orders 1 and 2 and the S images of order 1 are table reads, and only the
+orders above, and the S images of orders 0 and >= 2, apply an operator.
+The table is keyed by object identity, so a family rebuilt around other
+polynomials (dataclasses.replace) derives from those, and a second run on
+one family applies no operator at all.
 
 no_common_zeros is certified modulo a prime: D p and S p are scaled to
 integer polynomials, and their resultant is taken over GF(P) for the first
@@ -92,7 +90,6 @@ from .askey_wilson import (
     AWFamily,
     AWParams,
     Ladder,
-    RecheckImages,
     eigenvalue,
     equation_coeffs,
     params_from_sigmas,
@@ -106,6 +103,8 @@ from .errors import (
     ProportionalityFailure,
     UsageError,
 )
+# apply_Dq and apply_Sq are not called here, but perfbench/tracing.py
+# reads them from this module to count the operators' inputs
 from .qoperators import (
     CheckRecord,
     OperatorCheckResult,
@@ -134,22 +133,14 @@ class DerivedFamily(Ladder):
         return len(self.polys) - 1
 
 
-def _rechecked(base: AWFamily, n: int) -> RecheckImages | None:
-    """The build recheck's images of p_n, if the base still holds the
-    polynomial object they were computed from."""
-    if n < len(base.recheck) and base.recheck[n].poly is base.polys[n]:
-        return base.recheck[n]
-    return None
-
-
 @lru_cache(maxsize=None)
 def derived_family(base: AWFamily, k: int) -> DerivedFamily:
     """Build the k-th derived family P[k]_0..P[k]_(N-k), the most the base
     supports. k = 0 wraps the base itself, so code walking the ladder can
     treat P[0] uniformly. Order k >= 1 is built from order k-1 as
-    P[k]_n = D P[k-1]_(n+1) / gamma_(n+1), where orders 1 and 2 read
-    D p_(n+k) and D^2 p_(n+k) from the build recheck when it has them; a
-    ladder that breaks the three-term recurrence raises
+    P[k]_n = step(P[k-1]_(n+1)) = D P[k-1]_(n+1) / gamma_(n+1), through
+    base.images, which already holds orders 1 and 2 from the build
+    recheck; a ladder that breaks the three-term recurrence raises
     OrthogonalityBroken naming its order.
 
     Cached per (base, k), with the base keyed by identity: a lookup costs
@@ -168,21 +159,11 @@ def derived_family(base: AWFamily, k: int) -> DerivedFamily:
         bs = base.B[:top]
         cs = base.C[: max(top - 1, 0)]
         return DerivedFamily(k=0, base=base, polys=polys, B=bs, C=cs)
-    ctx = base.ctx
     prev = derived_family(base, k - 1)
-    out = []
-    for n in range(top + 1):
-        images = _rechecked(base, n + k) if k <= 2 else None
-        if images is None:
-            pol = apply_Dq(ctx, prev.polys[n + 1]) / gamma(ctx, n + 1)
-        elif k == 1:
-            pol = images.D / gamma(ctx, n + 1)
-        else:
-            pol = images.D2 / (gamma(ctx, n + 2) * gamma(ctx, n + 1))
+    polys = tuple(base.images.step(prev.polys[n + 1]) for n in range(top + 1))
+    for n, pol in enumerate(polys):
         if pol.degree != n or pol.leading != 1:
             raise InternalError(f"derived polynomial at n={n} is not monic")
-        out.append(pol)
-    polys = tuple(out)
     try:
         bs, cs = three_term_data(polys) if top >= 1 else ((), ())
     except OrthogonalityBroken as exc:
@@ -322,38 +303,25 @@ def extract_rn_fg(
 class ChainWorkspace:
     """Every family and operator image one chain run reads, by (j, m).
 
-    P(j, m) is the ladder member P[j]_m; S(j, m) its S image, applied once
-    through apply_Sq and kept, or read from the build recheck at j = 1; D,
-    D2 and SD are read off the ladder without applying D (see the module
-    docstring), with explicit zeros where the index leaves the ladder. Each
-    order is fetched once through derived_family, keyed by the identity of
-    the base. A workspace belongs to one base family and lives for one
-    run; run_chain_verification creates it.
+    P(j, m) is the ladder member P[j]_m, from derived_family; S(j, m) its
+    S image, from the base's OperatorImages table; D, D2 and SD are read
+    off the ladder without applying D (see the module docstring), with
+    explicit zeros where the index leaves the ladder. A workspace belongs
+    to one base family and lives for one run; run_chain_verification
+    creates it.
     """
 
     def __init__(self, base: AWFamily):
         self.base = base
-        self._families: dict[int, DerivedFamily] = {}
-        self._S: dict[tuple[int, int], PolyX] = {}
 
     def family(self, j: int) -> DerivedFamily:
-        if j not in self._families:
-            self._families[j] = derived_family(self.base, j)
-        return self._families[j]
+        return derived_family(self.base, j)
 
     def P(self, j: int, m: int) -> PolyX:
         return self.family(j).poly(m)
 
     def S(self, j: int, m: int) -> PolyX:
-        key = (j, m)
-        if key not in self._S:
-            ctx = self.base.ctx
-            images = _rechecked(self.base, m + 1) if j == 1 else None
-            if images is None:
-                self._S[key] = apply_Sq(ctx, self.P(j, m))
-            else:
-                self._S[key] = images.SD / gamma(ctx, m + 1)
-        return self._S[key]
+        return self.base.images.S(self.P(j, m))
 
     def D(self, j: int, m: int) -> PolyX:
         if m < 1:
@@ -715,13 +683,20 @@ def chain_orders(k_list: Iterable[int], N: int, n_max: int) -> list[int]:
     return ks
 
 
+def chain_window(ks: Iterable[int], n_max: int) -> int:
+    """n_max + max(k) + 2: the base size a chain run reads, and the N a
+    fresh verify-chain builds. The record windows stop growing there, so a
+    larger base gives the same records."""
+    return n_max + max(ks) + 2
+
+
 def _window(base: AWFamily, cap: int) -> AWFamily:
     """The base cut to degree cap, from the same polynomial objects and
-    recheck images; the base itself when it is no larger."""
+    image table; the base itself when it is no larger."""
     if base.N <= cap:
         return base
     return replace(base, N=cap, polys=base.polys[: cap + 1], B=base.B[:cap],
-                   C=base.C[: cap - 1], recheck=base.recheck[: cap + 1])
+                   C=base.C[: cap - 1])
 
 
 def run_chain_verification(
@@ -729,10 +704,9 @@ def run_chain_verification(
 ) -> ProofReport:
     """Run the whole chain for each k and collect the report.
 
-    The record windows stop growing at N = n_max + max(k) + 2, the size of
-    a fresh verify-chain build, so the chain runs on the base cut to that
-    degree: a larger base gives the same records, and only the context
-    reports its own N.
+    The chain runs on the base cut to chain_window(k_list, n_max): a
+    larger base gives the same records, and only the context reports its
+    own N.
 
     A chain equation or certificate that does not hold becomes a failed
     record. Two things raise instead: bad arguments, including runs that
@@ -740,7 +714,7 @@ def run_chain_verification(
     polynomials break the three-term recurrence, so that no recurrence data
     exist to check against (OrthogonalityBroken, naming the order k)."""
     ks = chain_orders(k_list, base.N, n_max)
-    ws = ChainWorkspace(_window(base, n_max + ks[-1] + 2))
+    ws = ChainWorkspace(_window(base, chain_window(ks, n_max)))
     records: list[CheckRecord] = []
     for k in ks:
         records.extend(_verify_one_k(ws, k, n_max))

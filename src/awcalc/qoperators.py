@@ -27,10 +27,11 @@ the whole verification engine downstream rests on them:
 
 where U1(x) = (alpha^2 - 1) x and U2(x) = (alpha^2 - 1)(x^2 - 1).
 
-The checks read their D and S images from an OperatorImages table, which
-applies each operator to each distinct polynomial once. One table serves
-the identity and k-fold checks of one trial, which share f, D f, S f and
-D^j f; a new trial starts a new table.
+Every D and S image the program reads comes from an OperatorImages
+table, keyed by object identity, which applies each operator to each
+polynomial once. One table serves the checks of one identity trial, which
+share f, D f, S f and D^j f. A family keeps the table its build recheck
+filled (askey_wilson), and the chain ladder steps through it (proof_engine).
 
 A check's outcome is an OperatorCheckResult. CheckRecord.of turns it into
 one line of a report and ProofReport holds a run's lines in report order;
@@ -99,34 +100,48 @@ def structural_polys(ctx: QContext) -> tuple[PolyX, PolyX]:
 class OperatorImages:
     """D and S images at one context, each computed once per polynomial.
 
-    D(p) and S(p) call apply_Dq/apply_Sq on the first request for a given
-    p.coeffs and return the stored image afterwards. The table grows with
-    every distinct input, so it is meant to live for one batch of checks
-    on the same few polynomials, such as one verify-identities trial.
+    D(p) and S(p) call apply_Dq/apply_Sq on the first request for the
+    object p and return the stored image afterwards; step(p) is the stored
+    D p / gamma_n for p of degree n >= 1, and D p = 0 for a constant. An
+    equal polynomial built anew is a new key. Each entry holds its key, so
+    no id is reused while the table lives: one identity trial, or one
+    family.
 
     >>> from awcalc.scalars import make_qcontext
     >>> images = OperatorImages(make_qcontext(Fraction(1, 2)))
     >>> x2 = PolyX.monomial(2)
-    >>> images.D(x2) is images.D(PolyX((0, 0, 1)))
-    True
+    >>> images.D(x2) is images.D(x2), images.D(x2) is images.D(PolyX((0, 0, 1)))
+    (True, False)
+    >>> images.step(x2)                        # D x^2 / gamma_2
+    PolyX(1*x)
     """
 
     def __init__(self, ctx: QContext) -> None:
         self.ctx = ctx
-        self._d: dict[tuple, PolyX] = {}
-        self._s: dict[tuple, PolyX] = {}
+        # id(p) -> (p, image): the stored p keeps its id from being reused
+        self._d: dict[int, tuple[PolyX, PolyX]] = {}
+        self._s: dict[int, tuple[PolyX, PolyX]] = {}
+        self._step: dict[int, tuple[PolyX, PolyX]] = {}
 
     def D(self, p: PolyX) -> PolyX:
-        image = self._d.get(p.coeffs)
-        if image is None:
-            image = self._d[p.coeffs] = apply_Dq(self.ctx, p)
-        return image
+        entry = self._d.get(id(p))
+        if entry is None:
+            entry = self._d[id(p)] = (p, apply_Dq(self.ctx, p))
+        return entry[1]
 
     def S(self, p: PolyX) -> PolyX:
-        image = self._s.get(p.coeffs)
-        if image is None:
-            image = self._s[p.coeffs] = apply_Sq(self.ctx, p)
-        return image
+        entry = self._s.get(id(p))
+        if entry is None:
+            entry = self._s[id(p)] = (p, apply_Sq(self.ctx, p))
+        return entry[1]
+
+    def step(self, p: PolyX) -> PolyX:
+        entry = self._step.get(id(p))
+        if entry is None:
+            dp = self.D(p)
+            image = dp / gamma(self.ctx, p.degree) if p.degree >= 1 else dp
+            entry = self._step[id(p)] = (p, image)
+        return entry[1]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from awcalc import (
+    OperatorImages,
     PolyX,
     apply_Dq,
     apply_Sq,
@@ -15,7 +16,7 @@ from awcalc import (
     params_from_roots,
     params_from_sigmas,
 )
-from awcalc import askey_wilson
+from awcalc import askey_wilson, qoperators
 from awcalc.askey_wilson import (
     _reject_degenerate,
     eigenvalue,
@@ -97,10 +98,13 @@ def assert_images_match(ctx, params, N):
         assert image == f * apply_Dq(ctx, dx) + g * apply_Sq(ctx, dx), m
 
 
+def solved(ctx, params, N):
+    return list(solve_operator_equation(OperatorImages(ctx), params, N))
+
+
 class TestSolve:
     def test_known_low_degrees(self):
-        solved = solve_operator_equation(HALF, QH, 3)
-        assert tuple(rechecked.poly for rechecked in solved) == (
+        assert tuple(solved(HALF, QH, 3)) == (
             PolyX.constant(1),
             PolyX.x(),
             PolyX((Fraction(-3, 16), 0, 1)),
@@ -109,31 +113,31 @@ class TestSolve:
 
     def test_solution_satisfies_the_equation(self):
         f, g = equation_coeffs(HALF, QH)
-        p = solve_operator_equation(HALF, QH, 4)[4].poly
+        p = solved(HALF, QH, 4)[4]
         lhs = f * apply_Dq(HALF, apply_Dq(HALF, p)) + g * apply_Sq(HALF, apply_Dq(HALF, p))
         assert lhs == eigenvalue(HALF, QH, 4) * p
 
     def test_collision_raises(self):
         bad = params_from_sigmas(0, 0, 0, 4)  # sigma4 hits 1/q
         with pytest.raises(EigenvalueCollision):
-            solve_operator_equation(HALF, bad, 2)
+            solved(HALF, bad, 2)
 
     def test_collision_names_the_first_degree(self):
         # the whole table up to N = 5 exists, but degree 2 still raises first
         bad = params_from_sigmas(0, 0, 0, 4)
         with pytest.raises(EigenvalueCollision,
                            match=r"^lambda_2 equals the diagonal entry at degree 0$"):
-            solve_operator_equation(HALF, bad, 5)
+            solved(HALF, bad, 5)
 
     def test_each_monomial_image_is_built_once(self, monkeypatch):
         # the monomial images come from the product rules and apply no
         # operator; only the 9 rechecks of p_n do, each 2 D and 1 S
         inputs = {"apply_Dq": [], "apply_Sq": []}
         for name, seen in inputs.items():
-            def recording(ctx, p, _apply=getattr(askey_wilson, name), _seen=seen):
+            def recording(ctx, p, _apply=getattr(qoperators, name), _seen=seen):
                 _seen.append(p)
                 return _apply(ctx, p)
-            monkeypatch.setattr(askey_wilson, name, recording)
+            monkeypatch.setattr(qoperators, name, recording)
         fam = cached_family.__wrapped__(*SET_B, 8)  # a fresh build, not the cached one
         assert {name: len(seen) for name, seen in inputs.items()} == {
             "apply_Dq": 18, "apply_Sq": 9,
@@ -143,26 +147,23 @@ class TestSolve:
         assert not [p for p in inputs["apply_Dq"]
                     if p.degree >= 1 and p == PolyX.monomial(p.degree)]
 
-    def test_recheck_images_are_the_operator_images(self):
-        # the images the chain reads for orders 1 and 2 are D and S applied
-        # to each p_n itself, kept on the family that holds p_n
-        for vtext, sigtext in PARAM_SETS:
-            fam = cached_family(vtext, sigtext, 8)
-            ctx = fam.ctx
-            assert len(fam.recheck) == len(fam.polys)
-            for p, rechecked in zip(fam.polys, fam.recheck):
-                assert rechecked.poly is p
-                dp = apply_Dq(ctx, p)
-                assert rechecked.D == dp
-                assert rechecked.D2 == apply_Dq(ctx, dp)
-                assert rechecked.SD == apply_Sq(ctx, dp)
-
-    def test_recheck_images_stay_out_of_the_dict_form(self):
+    def test_recheck_images_stay_out_of_the_dict_form(self, monkeypatch):
+        # a loaded family's table holds the recheck of its own p_n, so the
+        # first two derived orders of each p_n apply no operator
         fam = cached_family(*SET_B, 6)
         assert set(family_to_dict(fam)) == {"v", "sigmas", "N", "polys", "B", "C"}
         loaded = family_from_dict(family_to_dict(fam))
-        assert [r.poly for r in loaded.recheck] == list(loaded.polys)
-        assert all(r.poly is p for r, p in zip(loaded.recheck, loaded.polys))
+        assert loaded.images is not fam.images
+
+        def no_operator(ctx, p):
+            raise AssertionError("an image the recheck holds was applied again")
+
+        monkeypatch.setattr(qoperators, "apply_Dq", no_operator)
+        monkeypatch.setattr(qoperators, "apply_Sq", no_operator)
+        for p in loaded.polys:
+            dp = loaded.images.step(p)
+            loaded.images.step(dp)
+            loaded.images.S(dp)
 
     @pytest.mark.parametrize("vtext", ["1/2", "1/3", "2/3"])
     def test_monomial_images_match_the_applied_operators(self, vtext):
@@ -284,6 +285,26 @@ class TestSerialisation:
         blob["C"][0] = "1/7"
         with pytest.raises(FamilyMismatch, match=r"C\[0\]"):
             family_from_dict(blob)
+
+    def test_a_wrong_p0_stops_the_rebuild_at_degree_0(self, monkeypatch):
+        # each p_n is compared as soon as it is solved: p_0's recheck
+        # applies D twice, and no higher degree is solved or rechecked
+        blob = family_to_dict(cached_family(*SET_B, 12))
+        blob["polys"][0] = ["2"]
+        calls = []
+
+        def counting(ctx, p, _apply=apply_Dq):
+            calls.append(p)
+            return _apply(ctx, p)
+
+        # wherever an awcalc module binds D, so that no call goes uncounted
+        for mod in (qoperators, askey_wilson):
+            for name, value in list(vars(mod).items()):
+                if value is apply_Dq:
+                    monkeypatch.setattr(mod, name, counting)
+        with pytest.raises(FamilyMismatch, match=r"^polys\[0\] differs"):
+            family_from_dict(blob)
+        assert 0 < len(calls) <= 2
 
 
 class TestKLSOracle:

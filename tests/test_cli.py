@@ -398,7 +398,7 @@ class TestVerifyChain:
         def no_build(*args, **kwargs):
             raise AssertionError("a family was built before the header check")
 
-        monkeypatch.setattr(askey_wilson, "build_family", no_build)
+        monkeypatch.setattr(askey_wilson, "solve_operator_equation", no_build)
         blob = json.loads(json.dumps(FAMILY_BLOB))
         blob["N"] = 10**30
         fam_path = tmp_path / "fam.json"
@@ -421,7 +421,7 @@ class TestVerifyChain:
         def no_build(*args, **kwargs):
             raise AssertionError("a family was built before the entry check")
 
-        monkeypatch.setattr(askey_wilson, "build_family", no_build)
+        monkeypatch.setattr(askey_wilson, "solve_operator_equation", no_build)
         blob = json.loads(json.dumps(FAMILY_BLOB))
         edit(blob)
         fam_path = tmp_path / "fam.json"

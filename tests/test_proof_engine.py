@@ -503,7 +503,8 @@ class TestRunChainVerification:
 
     def test_a_larger_base_is_cut_to_the_window(self, monkeypatch):
         # derived_family sees the base cut to n_max + max(k) + 2, built from
-        # the same polynomial objects, so the recheck images still apply
+        # the same polynomial objects and image table, so the recheck
+        # images still apply
         base = cached_family(*SET_B, 14)
         bases = []
 
@@ -517,7 +518,7 @@ class TestRunChainVerification:
         assert bases and {fam.N for fam in bases} == {9}
         for fam in bases:
             assert all(p is q for p, q in zip(fam.polys, base.polys[:10], strict=True))
-            assert all(r is s for r, s in zip(fam.recheck, base.recheck[:10], strict=True))
+            assert fam.images is base.images
 
     def test_duplicate_orders_collapse(self):
         once = run_chain_verification(QH8, [2], 4)
@@ -615,19 +616,29 @@ class TestIdentityKeys:
         assert ref() is None
 
 
-def _operator_inputs_of_a_run(monkeypatch):
-    # both modules' apply_Dq and apply_Sq patched, caches cleared: every
-    # operator input of run_chain_verification(B8, [1, 2, 3], 5), in order
+def fresh_b8():
+    # a build of its own: B8's table is warm from every test that ran on it
+    return cached_family.__wrapped__(*SET_B, 8)
+
+
+def record_operator_inputs(monkeypatch):
+    """Patch qoperators.apply_Dq/apply_Sq, which every image table calls,
+    to record each input polynomial, in call order, per operator name."""
     inputs = {"apply_Dq": [], "apply_Sq": []}
     for name, seen in inputs.items():
         def recording(ctx, p, _apply=getattr(qoperators, name), _seen=seen):
             _seen.append(p)
             return _apply(ctx, p)
         monkeypatch.setattr(qoperators, name, recording)
-        monkeypatch.setattr(proof_engine, name, recording)
-    proof_engine.derived_family.cache_clear()
-    proof_engine.chain_coeffs.cache_clear()
-    assert run_chain_verification(B8, [1, 2, 3], 5).all_passed
+    return inputs
+
+
+def _operator_inputs_of_a_run(monkeypatch):
+    # every operator input of run_chain_verification(B8, [1, 2, 3], 5), in
+    # order, on a fresh build of B8, recorded from after the build
+    base = fresh_b8()
+    inputs = record_operator_inputs(monkeypatch)
+    assert run_chain_verification(base, [1, 2, 3], 5).all_passed
     return inputs
 
 
@@ -636,6 +647,7 @@ def test_each_operator_image_is_computed_once(monkeypatch):
     # compared by identity, since distinct ladder members can be equal
     # polynomials (P[j]_0 = 1 at every order j)
     for name, seen in _operator_inputs_of_a_run(monkeypatch).items():
+        assert seen, name
         assert len({id(p) for p in seen}) == len(seen), name
 
 
@@ -651,25 +663,49 @@ def test_operator_applications_of_a_run(monkeypatch):
     }
 
 
+def test_a_second_run_applies_no_operator(monkeypatch):
+    # the base's table keeps every image the first run made
+    base = fresh_b8()
+    first = run_chain_verification(base, [1, 2, 3], 5)
+    inputs = record_operator_inputs(monkeypatch)
+    assert run_chain_verification(base, [1, 2, 3], 5).checks == first.checks
+    assert inputs == {"apply_Dq": [], "apply_Sq": []}
+
+
+def test_every_table_entry_is_its_operator_applied_to_its_key():
+    # after a chain run the base's table holds the recheck's images and the
+    # chain's; each one must be D, S or D/gamma applied to the polynomial
+    # it is stored under, however it was reached
+    for vtext, sigtext in PARAM_SETS:
+        base = cached_family.__wrapped__(vtext, sigtext, 8)
+        assert run_chain_verification(base, [1, 2, 3], 5).all_passed
+        ctx, images = base.ctx, base.images
+        for table, apply in ((images._d, apply_Dq), (images._s, apply_Sq)):
+            assert table
+            for key, (p, image) in table.items():
+                assert key == id(p) and image == apply(ctx, p)
+        assert len(images._step) > len(base.polys)
+        for key, (p, image) in images._step.items():
+            dp = apply_Dq(ctx, p)
+            assert key == id(p)
+            assert image == (dp / gamma(ctx, p.degree) if p.degree >= 1 else dp)
+
+
 def test_a_replaced_polynomial_does_not_reuse_the_recheck(monkeypatch):
     # the recheck images belong to the polynomial objects they came from; a
     # family that holds an equal copy of p_5 derives from the copy, through
     # D and S, and gives the same records
-    polys = list(B8.polys)
+    base = fresh_b8()
+    polys = list(base.polys)
     polys[5] = PolyX(polys[5].coeffs)
-    copied = replace(B8, polys=tuple(polys))
-    inputs = {"apply_Dq": [], "apply_Sq": []}
-    for name, seen in inputs.items():
-        def recording(ctx, p, _apply=getattr(proof_engine, name), _seen=seen):
-            _seen.append(p)
-            return _apply(ctx, p)
-        monkeypatch.setattr(proof_engine, name, recording)
+    copied = replace(base, polys=tuple(polys))
+    inputs = record_operator_inputs(monkeypatch)
     report = run_chain_verification(copied, [1, 2], 5)
-    assert report.checks == run_chain_verification(B8, [1, 2], 5).checks
     # D p_5 for P[1]_4, D P[1]_4 for P[2]_3, S P[1]_4 for the chain
     assert any(p is polys[5] for p in inputs["apply_Dq"])
     assert len(inputs["apply_Dq"]) == 2 + 6
     assert any(p is derived_family(copied, 1).poly(4) for p in inputs["apply_Sq"])
+    assert report.checks == run_chain_verification(base, [1, 2], 5).checks
 
 
 def test_check_record_is_plain_data():

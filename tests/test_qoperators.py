@@ -131,7 +131,30 @@ class TestOperatorImages:
         images = OperatorImages(ctx)
         assert images.D(p) == apply_Dq(ctx, p)
         assert images.S(p) == apply_Sq(ctx, p)
-        # an equal polynomial built anew reads the stored image
+        # the same object reads the stored image; keys are identities, so
+        # an equal polynomial built anew is a key of its own
+        assert images.D(p) is images.D(p)
+        assert images.S(p) is images.S(p)
         same = PolyX(p.coeffs)
-        assert images.D(same) is images.D(p)
-        assert images.S(same) is images.S(p)
+        assert images.D(same) is not images.D(p)
+        assert images.D(same) == images.D(p)
+
+    @given(contexts, polys)
+    @settings(max_examples=30)
+    def test_step_is_D_over_gamma_of_the_degree(self, ctx, p):
+        images = OperatorImages(ctx)
+        want = apply_Dq(ctx, p) / gamma(ctx, p.degree) if p.degree >= 1 \
+            else PolyX.zero()
+        assert images.step(p) == want
+        assert images.step(p) is images.step(p)
+
+    def test_the_table_keeps_its_keys_alive(self):
+        # every temporary is dropped by its caller at once; a table that
+        # stored only id(p) would see the ids come back on new polynomials
+        # and hand out another polynomial's image
+        ctx = make_qcontext(Fraction(1, 3))
+        images = OperatorImages(ctx)
+        for j in range(200):
+            p = PolyX((Fraction(j), Fraction(1, j + 1), Fraction(j % 7)))
+            assert images.D(p * p) == apply_Dq(ctx, p * p)
+            assert images.S(p + p) == apply_Sq(ctx, p + p)
