@@ -13,34 +13,22 @@ and the eigenvalues
     lambda_n = 4 q (1 - q^(-n)) (1 - sigma4 q^(n-1)) / (1 - q)^2.
 
 The operator L[y] = f D^2 y + g SD y maps x^n to a polynomial of degree n
-whose leading coefficient is lambda_n, so L is triangular on monomials and
-L[y] = lambda_n y has a unique monic degree-n polynomial solution whenever
-lambda_n differs from lambda_0, ..., lambda_(n-1). solve_operator_equation
-computes the image table L[x^0], ..., L[x^N] once per family and finds
-every p_n by exact back-substitution on it. The table applies neither D
-nor S: the product rules D(x y) = S y + alpha x D y and
-S(x y) = U2 D y + alpha x S y (qoperators) step D x^m and S x^m up from
-D 1 = 0 and S 1 = 1, and linearity gives D^2 x^m and SD x^m from those.
-solve_operator_equation yields each p_n only once it rechecks to a zero
-residual, and the recheck applies D and S, through the family's
-OperatorImages table, to p_n and its images, never to a combination of the
-shared monomial images. The table stays on the family (AWFamily.images),
-so the verification chain reads its first two derived orders, and the S
-images of the first, from the recheck instead of applying D and S again
-(proof_engine).
-
-lambda_n - lambda_m factors as a nonzero multiple of
+whose leading coefficient is lambda_n, so L[y] = lambda_n y has a unique
+monic degree-n solution p_n whenever lambda_n differs from lambda_0, ...,
+lambda_(n-1). lambda_n - lambda_m factors as a nonzero multiple of
 (q^n - q^m)(q^(-n-m) - sigma4 q^(-1)), so collisions happen exactly when
 sigma4 is a nonpositive power of q; build_family rejects those parameter
 vectors up front (DegenerateParams).
 
-A family carries its three-term recurrence data
-
-    x p_n = p_(n+1) + B_n p_n + C_n p_(n-1),
-
-extracted exactly from the polynomials themselves. Its plain-JSON dict form
-is read back by rebuilding it from v, sigmas and N (family_from_dict),
-which compares each stored p_n as soon as the rebuild yields it.
+Like every orthogonal family, the p_n satisfy a three-term recurrence
+x p_n = p_(n+1) + B_n p_n + C_n p_(n-1). solve_operator_equation reads B_n
+and C_n off L without applying D or S, generates each p_n from them, and
+yields it once it rechecks to a zero residual. The recheck, which applies
+D and S through the family's OperatorImages table, certifies the family.
+The table stays on the family (AWFamily.images), so the verification
+chain reads its first two derived orders, and the S images of the first,
+from the recheck instead of applying D and S again (proof_engine). A
+family file is read back by rebuilding it (family_from_dict).
 """
 
 from __future__ import annotations
@@ -52,13 +40,12 @@ from typing import Iterator, Sequence
 
 from .errors import (
     DegenerateParams,
-    EigenvalueCollision,
     FamilyMismatch,
     InternalError,
     OrthogonalityBroken,
     UsageError,
 )
-from .qoperators import OperatorImages, structural_polys
+from .qoperators import OperatorImages
 from .qpoly import PolyX
 from .scalars import (
     QContext,
@@ -123,7 +110,7 @@ def _reject_degenerate(ctx: QContext, params: AWParams, N: int) -> None:
     s4 = params.sigma4
     if s4 <= 0:
         return
-    for j in range(max(2 * N - 1, 1)):
+    for j in range(2 * N - 1):
         p = ctx.qpow(-j)
         if p == s4:
             raise DegenerateParams(
@@ -133,74 +120,90 @@ def _reject_degenerate(ctx: QContext, params: AWParams, N: int) -> None:
             return
 
 
-def _monomial_images(ctx: QContext, f: PolyX, g: PolyX, N: int) -> list[PolyX]:
-    """L[x^m] for m = 0..N, without applying D or S.
-
-    The product rules with one factor x (D x = gamma_1 = 1, S x = alpha x)
-    step the images of x^m up from D 1 = 0 and S 1 = 1:
-
-        D x^m = S x^(m-1) + alpha x D x^(m-1)
-        S x^m = U2 D x^(m-1) + alpha x S x^(m-1)
-
-    D^2 x^m and SD x^m are then the coefficients of D x^m taken against
-    those two tables, by linearity.
-    """
-    _, u2 = structural_polys(ctx)
-    ax = PolyX.monomial(1, ctx.alpha)
-    d, s = [PolyX.zero()], [PolyX.constant(1)]
+def _top_of_L(ctx: QContext, f: PolyX, g: PolyX,
+              N: int) -> list[tuple[Rational, Rational, Rational]]:
+    """(l_(m,m), l_(m,m-1), l_(m,m-2)) for m = 0..N, l_(m,j) being the
+    coefficient of x^j in L[x^m]; no operator is applied. D x^m has only
+    the powers x^(m-1), x^(m-3), ... and S x^m only x^m, x^(m-2), ...; the
+    product rules D x^m = S x^(m-1) + alpha x D x^(m-1) and
+    S x^m = U2 D x^(m-1) + alpha x S x^(m-1), U2 = s (x^2 - 1), step the top
+    two of each up from D 1 = 0 and S 1 = 1, and those of D x^(m-1),
+    D x^(m-3) and their S images give D^2 x^m and SD x^m by linearity."""
+    alpha = ctx.alpha
+    s = alpha * alpha - 1
+    f0, f1, f2 = (f.coeff(j) for j in range(3))
+    g0, g1 = g.coeff(0), g.coeff(1)
+    # row 3 + m is x^m's; three zero rows stand for m < 0
+    zeros = (Fraction(0), Fraction(0))
+    d, sx = [zeros] * 4, [zeros] * 3 + [(Fraction(1), Fraction(0))]
     for _ in range(N):
-        dm, sm = d[-1], s[-1]
-        d.append(sm + ax * dm)
-        s.append(u2 * dm + ax * sm)
-    images = []
-    for dm in d:
-        d2 = sum((c * dx for c, dx in zip(dm.coeffs, d)), PolyX.zero())
-        sd = sum((c * sx for c, sx in zip(dm.coeffs, s)), PolyX.zero())
-        images.append(f * d2 + g * sd)
-    return images
+        (dt, dn), (st, sn) = d[-1], sx[-1]
+        d.append((st + alpha * dt, sn + alpha * dn))
+        sx.append((s * dt + alpha * st, s * (dn - dt) + alpha * sn))
+    top = []
+    for i in range(3, N + 4):
+        (dt, dn), (dt1, dn1), (st1, sn1) = d[i], d[i - 1], sx[i - 1]
+        d2, d2_next = dt * dt1, dt * dn1 + dn * d[i - 3][0]
+        sd, sd_next = dt * st1, dt * sn1 + dn * sx[i - 3][0]
+        top.append((f2 * d2 + g1 * sd, f1 * d2 + g0 * sd,
+                    f2 * d2_next + f0 * d2 + g1 * sd_next))
+    return top
+
+
+def _recurrence_data(ctx: QContext, params: AWParams,
+                     N: int) -> tuple[tuple, tuple]:
+    """B_0..B_(N-1) and C_1..C_(N-1). With p_n = x^n + a_n x^(n-1)
+    + b_n x^(n-2) + ..., the two coefficients of L[p_n] = lambda_n p_n below
+    the top give, since l_(m,m) = lambda_m,
+
+        a_n = l_(n,n-1) / (lambda_n - lambda_(n-1))
+        b_n = (l_(n,n-2) + a_n l_(n-1,n-2)) / (lambda_n - lambda_(n-2))
+        B_n = a_n - a_(n+1),   C_n = b_n - b_(n+1) - B_n a_n.
+    """
+    lam, l1, l2 = zip(*_top_of_L(ctx, *equation_coeffs(ctx, params), N))
+    a = [Fraction(0)] + [l1[n] / (lam[n] - lam[n - 1]) for n in range(1, N + 1)]
+    b = [Fraction(0)] * 2 + [(l2[n] + a[n] * l1[n - 1]) / (lam[n] - lam[n - 2])
+                             for n in range(2, N + 1)]
+    bs = tuple(a[n] - a[n + 1] for n in range(N))
+    cs = tuple(b[n] - b[n + 1] - bs[n] * a[n] for n in range(1, N))
+    return bs, cs
+
+
+def _rechecked(images: OperatorImages, params: AWParams, bs: tuple,
+               cs: tuple) -> Iterator[PolyX]:
+    ctx = images.ctx
+    f, g = equation_coeffs(ctx, params)
+    c = (Fraction(0),) + cs  # c[n] = C_n; C_0 meets p_(-1) = 0
+    x, prev, y = PolyX.x(), PolyX.zero(), PolyX.constant(1)
+    for n in range(len(bs) + 1):
+        if n:
+            prev, y = y, x * y - bs[n - 1] * y - c[n - 1] * prev
+        dy = images.step(y)
+        lhs = gamma(ctx, n - 1) * f * images.step(dy) + g * images.S(dy)
+        if gamma(ctx, n) * lhs - eigenvalue(ctx, params, n) * y:
+            raise InternalError(f"p_{n} fails the equation recheck")
+        yield y
 
 
 def solve_operator_equation(images: OperatorImages, params: AWParams,
-                            N: int) -> Iterator[PolyX]:
-    """Yield the monic solutions p_0..p_N of L[y] = lambda_n y in order,
-    p_n of degree n, each as soon as its recheck passes.
+                            N: int) -> tuple[tuple, tuple, Iterator[PolyX]]:
+    """(B, C, polys) for the monic solutions p_0..p_N of L[y] = lambda_n y,
+    whose eigenvalues must be distinct (_reject_degenerate). B and C are
+    read off L before p_0, and polys yields p_(n+1) = (x - B_n) p_n
+    - C_n p_(n-1) in order, each once its recheck passes; it raises
+    InternalError unless
 
-    L[x^m] is computed once for m = 0..N, before p_0, from the product
-    rules, without applying an operator, and each p_n comes from
-    back-substitution down that one triangular coefficient matrix. Per
-    degree, raises EigenvalueCollision if lambda_n meets a lower diagonal
-    entry, and InternalError unless
+        gamma_n (gamma_(n-1) f step(step p_n) + g S(step p_n)) = lambda_n p_n,
 
-        gamma_n (gamma_(n-1) f step(step p_n) + g S(step p_n)) = lambda_n p_n
-
-    holds exactly, which is L[p_n] = lambda_n p_n, since
-    step(p) = D p / gamma_n (qoperators.OperatorImages). So a build applies
-    D 2(N + 1) times and S N + 1 times, all in the recheck, and leaves
-    step(p_n), step(step p_n) and S(step p_n) in `images`.
+    which is L[p_n] = lambda_n p_n, since step(p) = D p / gamma_n
+    (qoperators.OperatorImages). So a build applies D 2(N + 1) times and S
+    N + 1 times, all in the recheck, and leaves step(p_n), step(step p_n)
+    and S(step p_n) in `images`.
     """
     if N < 0:
         raise UsageError(f"degree must be >= 0, got {N}")
-    ctx = images.ctx
-    f, g = equation_coeffs(ctx, params)
-    table = _monomial_images(ctx, f, g, N)
-    for n in range(N + 1):
-        lam = eigenvalue(ctx, params, n)
-        coeffs = [Fraction(0)] * n + [Fraction(1)]
-        for m in reversed(range(n)):
-            rhs = sum((table[j].coeff(m) * coeffs[j] for j in range(m + 1, n + 1)),
-                      Fraction(0))
-            denom = lam - table[m].coeff(m)
-            if denom == 0:
-                raise EigenvalueCollision(
-                    f"lambda_{n} equals the diagonal entry at degree {m}"
-                )
-            coeffs[m] = rhs / denom
-        y = PolyX(tuple(coeffs))
-        dy = images.step(y)
-        lhs = gamma(ctx, n - 1) * f * images.step(dy) + g * images.S(dy)
-        if gamma(ctx, n) * lhs - lam * y:
-            raise InternalError("solved polynomial fails the equation recheck")
-        yield y
+    bs, cs = _recurrence_data(images.ctx, params, N)
+    return bs, cs, _rechecked(images, params, bs, cs)
 
 
 def three_term_data(polys: tuple[PolyX, ...]) -> tuple[tuple, tuple]:
@@ -208,7 +211,7 @@ def three_term_data(polys: tuple[PolyX, ...]) -> tuple[tuple, tuple]:
 
     x p_n - p_(n+1) must reduce exactly to B_n p_n + C_n p_(n-1); anything
     left over means the sequence is not a genuine orthogonal ladder and
-    raises OrthogonalityBroken.
+    raises OrthogonalityBroken. Derived families (proof_engine) use it.
     """
     top = len(polys) - 1
     bs: list[Rational] = []
@@ -286,21 +289,20 @@ def build_family(ctx: QContext, params: AWParams, N: int) -> AWFamily:
 def _build(ctx: QContext, params: AWParams, N: int,
            stored: Sequence[list] | None = None) -> AWFamily:
     """build_family; with `stored`, each p_n is compared with stored[n] as
-    soon as it is solved, and the first that differs raises FamilyMismatch
-    before any higher degree is solved."""
+    soon as it is yielded, and the first that differs raises FamilyMismatch
+    before any higher degree is generated or rechecked."""
     if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise UsageError(f"family size must be an int >= 0, got {N!r}")
     _reject_degenerate(ctx, params, N)
     images = OperatorImages(ctx)
+    bs, cs, polys = solve_operator_equation(images, params, N)
     solved = []
-    for n, p in enumerate(solve_operator_equation(images, params, N)):
+    for n, p in enumerate(polys):
         if stored is not None and p.to_json() != stored[n]:
             raise _mismatch("polys", n)
         solved.append(p)
-    polys = tuple(solved)
-    bs, cs = three_term_data(polys)
-    return AWFamily(ctx=ctx, params=params, N=N, polys=polys, B=bs, C=cs,
-                    images=images)
+    return AWFamily(ctx=ctx, params=params, N=N, polys=tuple(solved), B=bs,
+                    C=cs, images=images)
 
 
 def family_to_dict(family: AWFamily) -> dict:
@@ -333,7 +335,7 @@ def family_from_dict(data: dict) -> AWFamily:
     are checked before any build (UsageError). The stored polys, B and C
     must then equal what family_to_dict writes for the rebuilt family, or
     FamilyMismatch names the first list and index that differ. Each p_n is
-    compared as soon as the rebuild solves it, so a wrong p_n stops the
+    compared as soon as the rebuild yields it, so a wrong p_n stops the
     rebuild at degree n; B and C are compared once every p_n matched. Each
     monic solution is unique, so this accepts exactly the files whose
     polynomials solve their own equation and carry their own recurrence."""

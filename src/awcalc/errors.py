@@ -31,17 +31,14 @@ class InternalError(AWCalcError):
 
 
 class DegenerateParams(DomainError):
-    """Parameter vector outside the admissible set, e.g. sigma4 = q^(-m) for
-    some m >= 0, which kills the leading coefficient of the equation."""
-
-
-class EigenvalueCollision(DomainError):
-    """Two eigenvalues of the triangular operator coincide, so the
-    back-substitution for the polynomial solution divides by zero."""
+    """Parameter vector outside the admissible set for a family of size N:
+    sigma4 = q^(-j) for some 0 <= j <= 2N - 2, which makes two of the
+    eigenvalues lambda_0..lambda_N coincide."""
 
 
 class OrthogonalityBroken(AWCalcError):
-    """A three-term recurrence invariant failed while building a family."""
+    """A derived family's polynomials fail to satisfy a three-term
+    recurrence."""
 
 
 class FamilyMismatch(AWCalcError):

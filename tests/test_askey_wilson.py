@@ -28,7 +28,6 @@ from awcalc.askey_wilson import (
 )
 from awcalc.errors import (
     DegenerateParams,
-    EigenvalueCollision,
     FamilyMismatch,
     InternalError,
     OrthogonalityBroken,
@@ -88,18 +87,21 @@ class TestEquationData:
             assert len(set(lams)) == 13
 
 
-def assert_images_match(ctx, params, N):
-    # the product-rule table against D and S applied to each x^m
+def assert_top_of_L_matches(ctx, params, N):
+    # the product-rule tracking against D and S applied to each x^m
     f, g = equation_coeffs(ctx, params)
-    images = askey_wilson._monomial_images(ctx, f, g, N)
-    assert len(images) == N + 1
-    for m, image in enumerate(images):
+    top = askey_wilson._top_of_L(ctx, f, g, N)
+    assert len(top) == N + 1
+    for m, tracked in enumerate(top):
         dx = apply_Dq(ctx, PolyX.monomial(m))
-        assert image == f * apply_Dq(ctx, dx) + g * apply_Sq(ctx, dx), m
+        image = f * apply_Dq(ctx, dx) + g * apply_Sq(ctx, dx)
+        assert image.degree <= m
+        assert tracked == tuple(image.coeff(j) if j >= 0 else 0
+                                for j in (m, m - 1, m - 2)), m
 
 
 def solved(ctx, params, N):
-    return list(solve_operator_equation(OperatorImages(ctx), params, N))
+    return list(solve_operator_equation(OperatorImages(ctx), params, N)[2])
 
 
 class TestSolve:
@@ -117,20 +119,8 @@ class TestSolve:
         lhs = f * apply_Dq(HALF, apply_Dq(HALF, p)) + g * apply_Sq(HALF, apply_Dq(HALF, p))
         assert lhs == eigenvalue(HALF, QH, 4) * p
 
-    def test_collision_raises(self):
-        bad = params_from_sigmas(0, 0, 0, 4)  # sigma4 hits 1/q
-        with pytest.raises(EigenvalueCollision):
-            solved(HALF, bad, 2)
-
-    def test_collision_names_the_first_degree(self):
-        # the whole table up to N = 5 exists, but degree 2 still raises first
-        bad = params_from_sigmas(0, 0, 0, 4)
-        with pytest.raises(EigenvalueCollision,
-                           match=r"^lambda_2 equals the diagonal entry at degree 0$"):
-            solved(HALF, bad, 5)
-
     def test_each_monomial_image_is_built_once(self, monkeypatch):
-        # the monomial images come from the product rules and apply no
+        # the recurrence data come from the product rules and apply no
         # operator; only the 9 rechecks of p_n do, each 2 D and 1 S
         inputs = {"apply_Dq": [], "apply_Sq": []}
         for name, seen in inputs.items():
@@ -166,25 +156,35 @@ class TestSolve:
             loaded.images.S(dp)
 
     @pytest.mark.parametrize("vtext", ["1/2", "1/3", "2/3"])
-    def test_monomial_images_match_the_applied_operators(self, vtext):
-        assert_images_match(make_qcontext(parse_rational(vtext)),
-                            params_from_sigmas(*SET_C_SIGMAS), 20)
+    def test_top_of_L_matches_the_applied_operators(self, vtext):
+        assert_top_of_L_matches(make_qcontext(parse_rational(vtext)),
+                                params_from_sigmas(*SET_C_SIGMAS), 20)
 
     @given(qsqrts, sigma_vectors, st.integers(0, 12))
     @settings(max_examples=20, derandomize=True, deadline=None)
-    def test_monomial_images_match_at_random_parameters(self, v, sigmas, N):
-        assert_images_match(make_qcontext(v), params_from_sigmas(*sigmas), N)
+    def test_top_of_L_matches_at_random_parameters(self, v, sigmas, N):
+        assert_top_of_L_matches(make_qcontext(v), params_from_sigmas(*sigmas), N)
 
-    def test_corrupt_shared_image_fails_the_recheck(self, monkeypatch):
-        def corrupted(ctx, f, g, N):
-            images = real(ctx, f, g, N)
-            images[3] = images[3] + PolyX.x()  # off the diagonal
-            return images
+    def test_a_wrong_B3_fails_the_recheck_at_degree_4(self, monkeypatch):
+        # the recheck, not the recurrence data, certifies each p_n: p_0..p_3
+        # do not read B_3 and are yielded, p_4 does and is refused
+        def perturbed(ctx, params, N):
+            bs, cs = real_data(ctx, params, N)
+            return bs[:3] + (bs[3] + 1,) + bs[4:], cs
 
-        real = askey_wilson._monomial_images
-        monkeypatch.setattr(askey_wilson, "_monomial_images", corrupted)
-        with pytest.raises(InternalError, match="equation recheck"):
-            build_family(HALF, QH, 5)
+        def recording(images, params, N):
+            bs, cs, polys = real_solve(images, params, N)
+            return bs, cs, (yielded.append(p) or p for p in polys)
+
+        base = cached_family(*SET_B, 6)
+        real_data = askey_wilson._recurrence_data
+        real_solve = askey_wilson.solve_operator_equation
+        yielded = []
+        monkeypatch.setattr(askey_wilson, "_recurrence_data", perturbed)
+        monkeypatch.setattr(askey_wilson, "solve_operator_equation", recording)
+        with pytest.raises(InternalError, match=r"^p_4 fails the equation recheck$"):
+            build_family(base.ctx, base.params, 6)
+        assert [p.degree for p in yielded] == [0, 1, 2, 3]
 
 
 class TestBuildFamily:
@@ -336,6 +336,21 @@ class TestKLSOracle:
             *map(parse_rational, sigtext.split(",")))
         fam = cached_family(vtext, sigtext, 12)
         assert fam.polys == kls_polys(*roots, v * v, 12)
+
+    @pytest.mark.parametrize("family, roots", [
+        (SET_B, (Fraction(1, 2), Fraction(1, 5), Fraction(-1, 3), Fraction(0))),
+        (SET_C, (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5))),
+    ], ids=["SET_B", "SET_C"])
+    def test_recurrence_data_at_n64(self, family, roots):
+        # B and C are read off L before p_0, so taking them from the solver
+        # without iterating its polys applies no operator
+        vtext, sigtext = family
+        params = params_from_roots(*roots)
+        assert params == params_from_sigmas(*map(parse_rational, sigtext.split(",")))
+        v = parse_rational(vtext)
+        bs, cs, _ = solve_operator_equation(OperatorImages(make_qcontext(v)),
+                                            params, 64)
+        assert (bs, cs) == kls_recurrence(*roots, v * v, 64)
 
     @pytest.mark.parametrize("vtext", ["1/2", "1/3"])
     def test_continuous_q_hermite(self, vtext):

@@ -202,6 +202,16 @@ class TestBuildFamily:
         # rendering big rationals must not lift the interpreter-wide limit
         assert sys.get_int_max_str_digits() == limit
 
+    def test_sigma4_one_is_refused_only_past_degree_0(self, capsys):
+        # sigma4 = q^0 makes lambda_1 = lambda_0; lambda_0 alone meets nothing
+        head = ["build-family", "--qsqrt", "1/2", "--sigmas=0,0,0,1", "--nmax"]
+        code, out, err = run(head + ["0"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["polys"] == [["1"]]
+        code, out, err = run(head + ["1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: sigma4 = q^(-0) collides eigenvalues up to degree 1\n"
+
     def test_out_flag_writes_the_file(self, tmp_path, capsys):
         target = tmp_path / "fam.json"
         code, out, _ = run(
@@ -670,9 +680,10 @@ class TestParser:
         assert code == 2 and "argument --nmax: expected an integer, got '2.5'" in err
 
 
-# sha256 of stdout, recorded before the operator equation shared its
-# monomial images across degrees (build, chain) and before the identity checks
-# shared theirs (identities); any change to the output bytes shows here. The
+# sha256 of stdout, recorded when each degree was still solved by its own
+# triangular system (build, chain; a build now generates p_n by the
+# three-term recurrence read off L) and before the identity checks shared
+# their images (identities); any change to the output bytes shows here. The
 # chain digest was re-recorded when no_common_zeros became a resultant mod a
 # prime and the aw_shift records were added.
 GOLDEN_OUTPUTS = [
