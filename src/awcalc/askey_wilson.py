@@ -21,21 +21,23 @@ sigma4 is a nonpositive power of q; build_family rejects those parameter
 vectors up front (DegenerateParams).
 
 Like every orthogonal family, the p_n satisfy a three-term recurrence
-x p_n = p_(n+1) + B_n p_n + C_n p_(n-1). solve_operator_equation reads B_n
-and C_n off L without applying D or S, generates each p_n from them, and
-yields it once it rechecks to a zero residual. The recheck, which applies
-D and S through the family's OperatorImages table, certifies the family.
-The table stays on the family (AWFamily.images), so the verification
-chain reads its first two derived orders, and the S images of the first,
-from the recheck instead of applying D and S again (proof_engine). A
-family file is read back by rebuilding it (family_from_dict).
+x p_n = p_(n+1) + B_n p_n + C_n p_(n-1). _from_tops reads B and C off the
+two coefficients below the top of each p_n and _generate makes p_0..p_N
+from them; the build, the family loader and three_term_data all use the
+pair. solve_operator_equation reads those coefficients off L without
+applying D or S, and rechecks every generated p_n to a zero residual. The
+recheck, which applies D and S through the family's OperatorImages table,
+certifies the family. The table stays on the family (AWFamily.images), so
+the verification chain reads its first two derived orders, and the S
+images of the first, from the recheck instead of applying D and S again
+(proof_engine).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import takewhile
+from itertools import zip_longest
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -150,90 +152,87 @@ def _top_of_L(ctx: QContext, f: PolyX, g: PolyX,
     return top
 
 
-def _recurrence_data(ctx: QContext, params: AWParams,
-                     N: int) -> tuple[tuple, tuple]:
-    """B_0..B_(N-1) and C_1..C_(N-1). With p_n = x^n + a_n x^(n-1)
-    + b_n x^(n-2) + ..., the two coefficients of L[p_n] = lambda_n p_n below
-    the top give, since l_(m,m) = lambda_m,
-
-        a_n = l_(n,n-1) / (lambda_n - lambda_(n-1))
-        b_n = (l_(n,n-2) + a_n l_(n-1,n-2)) / (lambda_n - lambda_(n-2))
-        B_n = a_n - a_(n+1),   C_n = b_n - b_(n+1) - B_n a_n.
-    """
-    lam, l1, l2 = zip(*_top_of_L(ctx, *equation_coeffs(ctx, params), N))
-    a = [Fraction(0)] + [l1[n] / (lam[n] - lam[n - 1]) for n in range(1, N + 1)]
-    b = [Fraction(0)] * 2 + [(l2[n] + a[n] * l1[n - 1]) / (lam[n] - lam[n - 2])
-                             for n in range(2, N + 1)]
+def _from_tops(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
+    """B_0..B_(N-1) and C_1..C_(N-1) of monic p_0..p_N whose x^(n-1) and
+    x^(n-2) coefficients are a[n] and b[n] (0 below degree 1 resp. 2):
+    B_n = a_n - a_(n+1), C_n = b_n - b_(n+1) - B_n a_n."""
+    N = len(a) - 1
     bs = tuple(a[n] - a[n + 1] for n in range(N))
     cs = tuple(b[n] - b[n + 1] - bs[n] * a[n] for n in range(1, N))
     return bs, cs
 
 
-def _rechecked(images: OperatorImages, params: AWParams, bs: tuple,
-               cs: tuple) -> Iterator[PolyX]:
-    ctx = images.ctx
-    f, g = equation_coeffs(ctx, params)
-    c = (Fraction(0),) + cs  # c[n] = C_n; C_0 meets p_(-1) = 0
+def _generate(bs: Sequence, cs: Sequence) -> Iterator[PolyX]:
+    """p_0 = 1, ..., p_N by p_(n+1) = (x - B_n) p_n - C_n p_(n-1), N =
+    len(bs), lazily: p_n comes before any higher degree is generated."""
+    c = (Fraction(0),) + tuple(cs)  # c[n] = C_n; C_0 meets p_(-1) = 0
     x, prev, y = PolyX.x(), PolyX.zero(), PolyX.constant(1)
-    for n in range(len(bs) + 1):
-        if n:
-            prev, y = y, x * y - bs[n - 1] * y - c[n - 1] * prev
-        dy = images.step(y)
-        lhs = gamma(ctx, n - 1) * f * images.step(dy) + g * images.S(dy)
-        if gamma(ctx, n) * lhs - eigenvalue(ctx, params, n) * y:
-            raise InternalError(f"p_{n} fails the equation recheck")
+    yield y
+    for n, bn in enumerate(bs):
+        prev, y = y, x * y - bn * y - c[n] * prev
         yield y
 
 
+def _recurrence_data(ctx: QContext, params: AWParams,
+                     N: int) -> tuple[tuple, tuple]:
+    """B_0..B_(N-1) and C_1..C_(N-1) read off L. With p_n = x^n
+    + a_n x^(n-1) + b_n x^(n-2) + ..., the two coefficients of
+    L[p_n] = lambda_n p_n below the top give, since l_(m,m) = lambda_m,
+
+        a_n = l_(n,n-1) / (lambda_n - lambda_(n-1))
+        b_n = (l_(n,n-2) + a_n l_(n-1,n-2)) / (lambda_n - lambda_(n-2)).
+    """
+    lam, l1, l2 = zip(*_top_of_L(ctx, *equation_coeffs(ctx, params), N))
+    a = [Fraction(0)] + [l1[n] / (lam[n] - lam[n - 1]) for n in range(1, N + 1)]
+    b = [Fraction(0)] * 2 + [(l2[n] + a[n] * l1[n - 1]) / (lam[n] - lam[n - 2])
+                             for n in range(2, N + 1)]
+    return _from_tops(a, b)
+
+
 def solve_operator_equation(images: OperatorImages, params: AWParams,
-                            N: int) -> tuple[tuple, tuple, Iterator[PolyX]]:
+                            N: int) -> tuple[tuple, tuple, tuple]:
     """(B, C, polys) for the monic solutions p_0..p_N of L[y] = lambda_n y,
     whose eigenvalues must be distinct (_reject_degenerate). B and C are
-    read off L before p_0, and polys yields p_(n+1) = (x - B_n) p_n
-    - C_n p_(n-1) in order, each once its recheck passes; it raises
-    InternalError unless
+    read off L, polys are generated from them, and every p_n is rechecked
+    before the tuples are returned; InternalError names the first p_n for
+    which
 
-        gamma_n (gamma_(n-1) f step(step p_n) + g S(step p_n)) = lambda_n p_n,
+        gamma_n (gamma_(n-1) f step(step p_n) + g S(step p_n)) = lambda_n p_n
 
-    which is L[p_n] = lambda_n p_n, since step(p) = D p / gamma_n
+    fails, which is L[p_n] = lambda_n p_n, since step(p) = D p / gamma_n
     (qoperators.OperatorImages). So a build applies D 2(N + 1) times and S
     N + 1 times, all in the recheck, and leaves step(p_n), step(step p_n)
     and S(step p_n) in `images`.
     """
     if N < 0:
         raise UsageError(f"degree must be >= 0, got {N}")
-    bs, cs = _recurrence_data(images.ctx, params, N)
-    return bs, cs, _rechecked(images, params, bs, cs)
+    ctx = images.ctx
+    bs, cs = _recurrence_data(ctx, params, N)
+    f, g = equation_coeffs(ctx, params)
+    polys = []
+    for n, y in enumerate(_generate(bs, cs)):
+        dy = images.step(y)
+        lhs = gamma(ctx, n - 1) * f * images.step(dy) + g * images.S(dy)
+        if gamma(ctx, n) * lhs - eigenvalue(ctx, params, n) * y:
+            raise InternalError(f"p_{n} fails the equation recheck")
+        polys.append(y)
+    return bs, cs, tuple(polys)
 
 
 def three_term_data(polys: tuple[PolyX, ...]) -> tuple[tuple, tuple]:
-    """Extract B_0..B_(N-1) and C_1..C_(N-1) from monic polynomials.
-
-    x p_n - p_(n+1) must reduce exactly to B_n p_n + C_n p_(n-1); anything
-    left over means the sequence is not a genuine orthogonal ladder and
-    raises OrthogonalityBroken. Derived families (proof_engine) use it.
-    """
-    top = len(polys) - 1
-    bs: list[Rational] = []
-    cs: list[Rational] = []
-    for n in range(top):
-        r = PolyX.x() * polys[n] - polys[n + 1]
-        if r.degree > n:
-            raise OrthogonalityBroken(f"x p_{n} - p_{n + 1} has degree > {n}")
-        bn = r.coeff(n)
-        bs.append(bn)
-        r = r - bn * polys[n]
-        if n == 0:
-            if r:
-                raise OrthogonalityBroken("degree-0 step left a remainder")
-            continue
-        cn = r.coeff(n - 1)
-        if r != cn * polys[n - 1]:
+    """B_0..B_(N-1) and C_1..C_(N-1) read off a ladder p_0..p_N
+    (_from_tops), which must equal the monic p_0..p_N they generate:
+    OrthogonalityBroken names the first index that differs, such as a
+    member that is not monic or one off a three-term recurrence. Derived
+    families (proof_engine) use it."""
+    a = [p.coeff(n - 1) if n else Fraction(0) for n, p in enumerate(polys)]
+    b = [p.coeff(n - 2) if n > 1 else Fraction(0) for n, p in enumerate(polys)]
+    bs, cs = _from_tops(a, b)
+    for n, (p, want) in enumerate(zip(polys, _generate(bs, cs))):
+        if p != want:
             raise OrthogonalityBroken(
-                f"remainder at n={n} is not a multiple of p_{n - 1}"
-            )
-        cs.append(cn)
-    return tuple(bs), tuple(cs)
+                f"p_{n} differs from the monic ladder its recurrence generates")
+    return bs, cs
 
 
 class Ladder:
@@ -283,26 +282,13 @@ class AWFamily(Ladder):
 
 
 def build_family(ctx: QContext, params: AWParams, N: int) -> AWFamily:
-    return _build(ctx, params, N)
-
-
-def _build(ctx: QContext, params: AWParams, N: int,
-           stored: Sequence[list] | None = None) -> AWFamily:
-    """build_family; with `stored`, each p_n is compared with stored[n] as
-    soon as it is yielded, and the first that differs raises FamilyMismatch
-    before any higher degree is generated or rechecked."""
     if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise UsageError(f"family size must be an int >= 0, got {N!r}")
     _reject_degenerate(ctx, params, N)
     images = OperatorImages(ctx)
     bs, cs, polys = solve_operator_equation(images, params, N)
-    solved = []
-    for n, p in enumerate(polys):
-        if stored is not None and p.to_json() != stored[n]:
-            raise _mismatch("polys", n)
-        solved.append(p)
-    return AWFamily(ctx=ctx, params=params, N=N, polys=tuple(solved), B=bs,
-                    C=cs, images=images)
+    return AWFamily(ctx=ctx, params=params, N=N, polys=polys, B=bs, C=cs,
+                    images=images)
 
 
 def family_to_dict(family: AWFamily) -> dict:
@@ -333,12 +319,14 @@ def family_from_dict(data: dict) -> AWFamily:
 
     The header, and that polys, B and C hold lists of rational literals,
     are checked before any build (UsageError). The stored polys, B and C
-    must then equal what family_to_dict writes for the rebuilt family, or
-    FamilyMismatch names the first list and index that differ. Each p_n is
-    compared as soon as the rebuild yields it, so a wrong p_n stops the
-    rebuild at degree n; B and C are compared once every p_n matched. Each
-    monic solution is unique, so this accepts exactly the files whose
-    polynomials solve their own equation and carry their own recurrence."""
+    must then equal what family_to_dict writes for that family, or
+    FamilyMismatch names the first list and index that differ. Polys are
+    compared with those generated from the B and C read off L, then B,
+    then C, all before any operator runs, so a wrong p_n is refused once
+    p_0..p_n are generated; only a matching file reaches build_family and
+    its recheck. Each monic solution is unique, so this accepts exactly
+    the files whose polynomials solve their own equation and carry their
+    own recurrence."""
     if not isinstance(data, dict):
         raise UsageError("family data must be a JSON object")
     missing = {"v", "sigmas", "N", "polys", "B", "C"} - set(data)
@@ -358,12 +346,12 @@ def family_from_dict(data: dict) -> AWFamily:
         _check_rational_list(poly, f"polys[{j}]")
     _check_rational_list(data["B"], "B")
     _check_rational_list(data["C"], "C")
-    family = _build(ctx, params, N, data["polys"])
-    for key, values in (("B", family.B), ("C", family.C)):
-        stored = data[key]
-        want = [format_rational(value) for value in values]
-        if stored != want:
-            pairs = zip(stored, want)
-            raise _mismatch(key, sum(1 for _ in takewhile(
-                lambda pair: pair[0] == pair[1], pairs)))
-    return family
+    _reject_degenerate(ctx, params, N)
+    bs, cs = _recurrence_data(ctx, params, N)
+    for key, want in (("polys", (p.to_json() for p in _generate(bs, cs))),
+                      ("B", map(format_rational, bs)),
+                      ("C", map(format_rational, cs))):
+        for i, (stored, wanted) in enumerate(zip_longest(data[key], want)):
+            if stored != wanted:
+                raise _mismatch(key, i)
+    return build_family(ctx, params, N)

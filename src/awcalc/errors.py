@@ -37,7 +37,9 @@ class DegenerateParams(DomainError):
 
 
 class OrthogonalityBroken(AWCalcError):
-    """A derived family's polynomials fail to satisfy a three-term
+    """A derived family's polynomials differ from the monic ladder that
+    the three-term recurrence read off their own coefficients generates:
+    a member that is not monic of its degree, or one off the
     recurrence."""
 
 

@@ -97,7 +97,6 @@ from .askey_wilson import (
 )
 from .errors import (
     DomainError,
-    InternalError,
     NoRationalMatch,
     OrthogonalityBroken,
     ProportionalityFailure,
@@ -140,8 +139,9 @@ def derived_family(base: AWFamily, k: int) -> DerivedFamily:
     treat P[0] uniformly. Order k >= 1 is built from order k-1 as
     P[k]_n = step(P[k-1]_(n+1)) = D P[k-1]_(n+1) / gamma_(n+1), through
     base.images, which already holds orders 1 and 2 from the build
-    recheck; a ladder that breaks the three-term recurrence raises
-    OrthogonalityBroken naming its order.
+    recheck. three_term_data reads B and C off the new order's members,
+    and a member that is not monic, or not what that recurrence generates,
+    raises OrthogonalityBroken naming the order and the member.
 
     Cached per (base, k), with the base keyed by identity: a lookup costs
     O(1) whatever the size of the base, and a second family built from
@@ -161,11 +161,8 @@ def derived_family(base: AWFamily, k: int) -> DerivedFamily:
         return DerivedFamily(k=0, base=base, polys=polys, B=bs, C=cs)
     prev = derived_family(base, k - 1)
     polys = tuple(base.images.step(prev.polys[n + 1]) for n in range(top + 1))
-    for n, pol in enumerate(polys):
-        if pol.degree != n or pol.leading != 1:
-            raise InternalError(f"derived polynomial at n={n} is not monic")
     try:
-        bs, cs = three_term_data(polys) if top >= 1 else ((), ())
+        bs, cs = three_term_data(polys)
     except OrthogonalityBroken as exc:
         raise OrthogonalityBroken(f"derived family k={k}: {exc}") from exc
     return DerivedFamily(k=k, base=base, polys=polys, B=bs, C=cs)

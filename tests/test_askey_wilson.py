@@ -167,24 +167,25 @@ class TestSolve:
 
     def test_a_wrong_B3_fails_the_recheck_at_degree_4(self, monkeypatch):
         # the recheck, not the recurrence data, certifies each p_n: p_0..p_3
-        # do not read B_3 and are yielded, p_4 does and is refused
+        # do not read B_3 and pass, p_4 does and is refused, and no higher
+        # degree is rechecked
         def perturbed(ctx, params, N):
             bs, cs = real_data(ctx, params, N)
             return bs[:3] + (bs[3] + 1,) + bs[4:], cs
 
-        def recording(images, params, N):
-            bs, cs, polys = real_solve(images, params, N)
-            return bs, cs, (yielded.append(p) or p for p in polys)
+        def recording(images, p):
+            stepped.append(p.degree)
+            return real_step(images, p)
 
         base = cached_family(*SET_B, 6)
         real_data = askey_wilson._recurrence_data
-        real_solve = askey_wilson.solve_operator_equation
-        yielded = []
+        real_step = OperatorImages.step
+        stepped = []
         monkeypatch.setattr(askey_wilson, "_recurrence_data", perturbed)
-        monkeypatch.setattr(askey_wilson, "solve_operator_equation", recording)
+        monkeypatch.setattr(OperatorImages, "step", recording)
         with pytest.raises(InternalError, match=r"^p_4 fails the equation recheck$"):
             build_family(base.ctx, base.params, 6)
-        assert [p.degree for p in yielded] == [0, 1, 2, 3]
+        assert {d for d in stepped if d >= 0} == {0, 1, 2, 3, 4}
 
 
 class TestBuildFamily:
@@ -257,6 +258,17 @@ class TestThreeTermData:
         with pytest.raises(OrthogonalityBroken):
             three_term_data(seq)
 
+    def test_reads_every_family_recurrence(self):
+        for vtext, sigtext in PARAM_SETS:
+            fam = cached_family(vtext, sigtext, 12)
+            assert three_term_data(fam.polys) == (fam.B, fam.C)
+
+    def test_a_non_monic_member_is_named(self):
+        polys = list(cached_family(*SET_B, 6).polys)
+        polys[3] = 2 * polys[3]
+        with pytest.raises(OrthogonalityBroken, match=r"^p_3 differs"):
+            three_term_data(tuple(polys))
+
 
 class TestSerialisation:
     def test_round_trip(self):
@@ -286,25 +298,31 @@ class TestSerialisation:
         with pytest.raises(FamilyMismatch, match=r"C\[0\]"):
             family_from_dict(blob)
 
-    def test_a_wrong_p0_stops_the_rebuild_at_degree_0(self, monkeypatch):
-        # each p_n is compared as soon as it is solved: p_0's recheck
-        # applies D twice, and no higher degree is solved or rechecked
+    @pytest.mark.parametrize("key, index", [("polys", 0), ("B", 5), ("C", 10)],
+                             ids=["polys0", "B5", "C-last"])
+    def test_a_wrong_entry_is_refused_before_any_operator(
+            self, key, index, monkeypatch):
+        # polys, then B, then C are compared with what the recurrence read
+        # off L generates, before the rebuild's recheck applies D or S
         blob = family_to_dict(cached_family(*SET_B, 12))
-        blob["polys"][0] = ["2"]
+        assert len(blob["C"]) == 11  # C[10] is the last
+        blob[key][index] = (["2"] if key == "polys"
+                            else str(parse_rational(blob[key][index]) + 1))
         calls = []
+        # wherever an awcalc module binds D or S, so that no call goes
+        # uncounted
+        for apply in (apply_Dq, apply_Sq):
+            def counting(ctx, p, _apply=apply):
+                calls.append(p)
+                return _apply(ctx, p)
 
-        def counting(ctx, p, _apply=apply_Dq):
-            calls.append(p)
-            return _apply(ctx, p)
-
-        # wherever an awcalc module binds D, so that no call goes uncounted
-        for mod in (qoperators, askey_wilson):
-            for name, value in list(vars(mod).items()):
-                if value is apply_Dq:
-                    monkeypatch.setattr(mod, name, counting)
-        with pytest.raises(FamilyMismatch, match=r"^polys\[0\] differs"):
+            for mod in (qoperators, askey_wilson):
+                for name, value in list(vars(mod).items()):
+                    if value is apply:
+                        monkeypatch.setattr(mod, name, counting)
+        with pytest.raises(FamilyMismatch, match=rf"^{key}\[{index}\] differs"):
             family_from_dict(blob)
-        assert 0 < len(calls) <= 2
+        assert calls == []
 
 
 class TestKLSOracle:
@@ -342,14 +360,12 @@ class TestKLSOracle:
         (SET_C, (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5))),
     ], ids=["SET_B", "SET_C"])
     def test_recurrence_data_at_n64(self, family, roots):
-        # B and C are read off L before p_0, so taking them from the solver
-        # without iterating its polys applies no operator
+        # B and C are read off L, which applies no operator
         vtext, sigtext = family
         params = params_from_roots(*roots)
         assert params == params_from_sigmas(*map(parse_rational, sigtext.split(",")))
         v = parse_rational(vtext)
-        bs, cs, _ = solve_operator_equation(OperatorImages(make_qcontext(v)),
-                                            params, 64)
+        bs, cs = askey_wilson._recurrence_data(make_qcontext(v), params, 64)
         assert (bs, cs) == kls_recurrence(*roots, v * v, 64)
 
     @pytest.mark.parametrize("vtext", ["1/2", "1/3"])

@@ -409,6 +409,7 @@ class TestVerifyChain:
             raise AssertionError("a family was built before the header check")
 
         monkeypatch.setattr(askey_wilson, "solve_operator_equation", no_build)
+        monkeypatch.setattr(askey_wilson, "_recurrence_data", no_build)
         blob = json.loads(json.dumps(FAMILY_BLOB))
         blob["N"] = 10**30
         fam_path = tmp_path / "fam.json"
@@ -432,6 +433,7 @@ class TestVerifyChain:
             raise AssertionError("a family was built before the entry check")
 
         monkeypatch.setattr(askey_wilson, "solve_operator_equation", no_build)
+        monkeypatch.setattr(askey_wilson, "_recurrence_data", no_build)
         blob = json.loads(json.dumps(FAMILY_BLOB))
         edit(blob)
         fam_path = tmp_path / "fam.json"

@@ -32,6 +32,7 @@ from awcalc.errors import (
     DegenerateParams,
     DomainError,
     NoRationalMatch,
+    OrthogonalityBroken,
     ProportionalityFailure,
     UsageError,
 )
@@ -122,6 +123,15 @@ class TestDerivedFamily:
     def test_bounds(self):
         with pytest.raises(UsageError):
             derived_family(QH8, -1)
+
+    def test_a_non_monic_base_member_breaks_the_first_ladder(self):
+        # D(2 p_3) / gamma_3 is twice a monic P[1]_2, which the recurrence
+        # read off order 1 cannot generate
+        polys = list(B8.polys)
+        polys[3] = 2 * polys[3]
+        bad = replace(B8, polys=tuple(polys))
+        with pytest.raises(OrthogonalityBroken, match=r"^derived family k=1: "):
+            run_chain_verification(bad, [1], 5)
 
 
 class TestChainCoeffs:
