@@ -155,10 +155,8 @@ def derived_family(base: AWFamily, k: int) -> DerivedFamily:
             f"{base.N + 1} at k={k}"
         )
     if k == 0:
-        polys = base.polys[: top + 1]
-        bs = base.B[:top]
-        cs = base.C[: max(top - 1, 0)]
-        return DerivedFamily(k=0, base=base, polys=polys, B=bs, C=cs)
+        return DerivedFamily(k=0, base=base, polys=base.polys, B=base.B,
+                             C=base.C)
     prev = derived_family(base, k - 1)
     polys = tuple(base.images.step(prev.polys[n + 1]) for n in range(top + 1))
     try:
@@ -242,37 +240,33 @@ class ExtractionResult:
     r: dict[int, Rational]
 
 
+def _slots(f: PolyX, g: PolyX) -> tuple[Rational, ...]:
+    return (f.coeff(0), f.coeff(1), f.coeff(2), g.coeff(0), g.coeff(1))
+
+
 def _extract_proportional(
     pairs: Mapping[int, tuple[PolyX, PolyX]]
 ) -> ExtractionResult:
     """Core of extract_rn_fg, usable on manufactured pairs.
 
-    Normalizes at the smallest index by the first nonzero coefficient
-    (f constant term upward, then g), then verifies every other pair is an
-    exact nonzero rational multiple of the anchor.
+    Normalizes at the smallest index by the first nonzero of the slots
+    f_0, f_1, f_2, g_0, g_1, then verifies every other pair is an exact
+    nonzero rational multiple of the anchor.
     """
     if not pairs:
         raise UsageError("no coefficient pairs to extract from")
     n0 = min(pairs)
     f0, g0 = pairs[n0]
-    anchor = None
-    for which, poly, limit in (("f", f0, 3), ("g", g0, 2)):
-        for i in range(limit):
-            if poly.coeff(i) != 0:
-                anchor = (which, i)
-                break
-        if anchor:
-            break
+    anchor = next((i for i, c in enumerate(_slots(f0, g0)) if c != 0), None)
     if anchor is None:
         raise ProportionalityFailure(f"pair at n={n0} is identically zero")
-    which, slot = anchor
-    scale = (f0 if which == "f" else g0).coeff(slot)
+    scale = _slots(f0, g0)[anchor]
     f = f0 / scale
     g = g0 / scale
     r: dict[int, Rational] = {}
     for n in sorted(pairs):
         fn, gn = pairs[n]
-        rn = (fn if which == "f" else gn).coeff(slot)
+        rn = _slots(fn, gn)[anchor]
         if rn == 0:
             raise ProportionalityFailure(f"scale r_{n} vanishes")
         if fn != rn * f or gn != rn * g:
@@ -286,12 +280,9 @@ def _extract_proportional(
 def extract_rn_fg(
     dfam: DerivedFamily, n_range: Iterable[int]
 ) -> ExtractionResult:
-    """Extract the common (f, g) of eq6 across a range of degrees."""
-    ns = sorted(set(n_range))
-    if not ns:
-        raise UsageError("empty extraction range")
+    """Common (f, g) of eq6 over n_range; an empty range raises UsageError."""
     pairs = {}
-    for n in ns:
+    for n in n_range:
         cc = chain_coeffs(dfam, n)
         pairs[n] = (cc.fn, cc.gn)
     return _extract_proportional(pairs)
@@ -572,13 +563,15 @@ def verify_final_matches_aw(
 
 def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:
     ctx = ws.base.ctx
-    records: list[CheckRecord] = []
     dfam = ws.family(k)
-    # windows, from dfam.M = N - k: the ladder relations, eq7 and
-    # no_common_zeros; the chain displays; the nonvanishing certificates
-    hi_ladder = min(dfam.M, n_max)
-    hi_chain = min(dfam.M - 1, n_max)
-    hi_nonzero = min(dfam.M - 2, n_max)
+    # the record windows, from dfam.M = N - k: the ladder relations, eq7
+    # and no_common_zeros; eq3..eq6, eq_final and the extraction; the
+    # nonvanishing certificates. chain_orders requires n_max >= 2 and
+    # N >= k + 3, so the chain window always holds n = 2.
+    ladder = range(1, min(dfam.M, n_max) + 1)
+    chain = range(2, min(dfam.M - 1, n_max) + 1)
+    nonzero = range(3, min(dfam.M - 2, n_max) + 1)
+    records: list[CheckRecord] = []
 
     def add(name: str, n: int | None, passed: bool, witness: str) -> None:
         records.append(CheckRecord(name=name, k=k, n=n, passed=passed,
@@ -589,69 +582,56 @@ def _verify_one_k(ws: ChainWorkspace, k: int, n_max: int) -> list[CheckRecord]:
         records.append(CheckRecord.of(res, k, n))
         return res
 
-    for n in range(1, hi_ladder + 1):
-        run_eq("eq1a", n)
-    for n in range(2, hi_ladder + 1):
-        run_eq("eq1b", n)
-
-    for n in range(2, hi_chain + 1):
-        for which in ("eq3", "eq4", "eq3b", "eq3a", "eq6"):
+    residuals = (("eq1a", ladder), ("eq1b", ladder[1:]), ("eq7", ladder[2:]),
+                 ("eq3", chain), ("eq4", chain), ("eq3b", chain),
+                 ("eq3a", chain), ("eq6", chain))
+    for which, ns in residuals:
+        for n in ns:
             run_eq(which, n)
-    for n in range(3, hi_ladder + 1):
-        run_eq("eq7", n)
 
-    extraction = None
-    ext_error = None
-    if hi_chain >= 2:
+    try:
+        extraction = extract_rn_fg(dfam, chain)
+    except ProportionalityFailure as exc:
+        unavailable = "unavailable: proportionality failed"
+        add("proportionality", None, False, str(exc))
+        add("aw_form_match", None, False, unavailable)
+        add("aw_shift", None, False, unavailable)
+        for n in chain:
+            add("eq_final", n, False, unavailable)
+            add("lambda_formula", n, False, unavailable)
+    else:
+        mu = {}
+        for n in chain:
+            add("proportionality", n, True, format_rational(extraction.r[n]))
+            mu[n] = run_eq("eq_final", n, extraction=extraction).witness
+            cc = chain_coeffs(dfam, n)
+            expected = gamma(ctx, k) * cc.Etilde * dfam.recurrence_C(n - 1) \
+                / (extraction.r[n] * gamma(ctx, n - 1))
+            ok = mu[n] == expected
+            add("lambda_formula", n, ok,
+                format_rational(mu[n]) if ok
+                else f"{format_rational(mu[n])} != {format_rational(expected)}")
         try:
-            extraction = extract_rn_fg(dfam, range(2, hi_chain + 1))
-        except ProportionalityFailure as exc:
-            ext_error = str(exc)
-        if extraction is None:
-            add("proportionality", None, False, ext_error)
-            add("aw_form_match", None, False,
-                "unavailable: proportionality failed")
-            add("aw_shift", None, False, "unavailable: proportionality failed")
-            for n in range(2, hi_chain + 1):
-                add("eq_final", n, False, "unavailable: proportionality failed")
-                add("lambda_formula", n, False,
-                    "unavailable: proportionality failed")
+            match = verify_final_matches_aw(ctx, extraction, mu)
+        except NoRationalMatch as exc:
+            add("aw_form_match", None, False, str(exc))
+            add("aw_shift", None, False, "unavailable: aw_form_match failed")
         else:
-            gk = gamma(ctx, k)
-            mu = {}
-            for n in range(2, hi_chain + 1):
-                add("proportionality", n, True,
-                    format_rational(extraction.r[n]))
-                res = run_eq("eq_final", n, extraction=extraction)
-                cc = chain_coeffs(dfam, n)
-                expected = gk * cc.Etilde * dfam.recurrence_C(n - 1) \
-                    / (extraction.r[n] * gamma(ctx, n - 1))
-                mu[n] = res.witness
-                ok = mu[n] == expected
-                add("lambda_formula", n, ok,
-                    format_rational(mu[n]) if ok
-                    else f"{format_rational(mu[n])} != {format_rational(expected)}")
-            try:
-                match = verify_final_matches_aw(ctx, extraction, mu)
-            except NoRationalMatch as exc:
-                add("aw_form_match", None, False, str(exc))
-                add("aw_shift", None, False, "unavailable: aw_form_match failed")
-            else:
-                sig = ",".join(format_rational(s) for s in match.params.sigmas)
-                add("aw_form_match", None, True,
-                    f"c={format_rational(match.c)};sigmas={sig}")
-                # P[k-1] has the base's sigma_j times v^(j(k-1)); the
-                # witness is the first index j that differs, or "0"
-                shifted = (ctx.v ** (j * (k - 1)) * s
-                           for j, s in enumerate(ws.base.params.sigmas, 1))
-                first = next((j for j, (got, want) in enumerate(
-                    zip(match.params.sigmas, shifted), 1) if got != want), 0)
-                add("aw_shift", None, first == 0, str(first))
+            sig = ",".join(format_rational(s) for s in match.params.sigmas)
+            add("aw_form_match", None, True,
+                f"c={format_rational(match.c)};sigmas={sig}")
+            # P[k-1] has the base's sigma_j times v^(j(k-1)); the
+            # witness is the first index j that differs, or "0"
+            shifted = (ctx.v ** (j * (k - 1)) * s
+                       for j, s in enumerate(ws.base.params.sigmas, 1))
+            first = next((j for j, (got, want) in enumerate(
+                zip(match.params.sigmas, shifted), 1) if got != want), 0)
+            add("aw_shift", None, first == 0, str(first))
 
-    for n in range(3, hi_nonzero + 1):
+    for n in nonzero:
         records.extend(check_nonvanishing(dfam, n))
 
-    for n in range(1, hi_ladder + 1):
+    for n in ladder:
         records.append(CheckRecord.of(
             check_no_common_zeros(ws.D(k, n), ws.S(k, n)), k, n))
 

@@ -33,6 +33,10 @@ for build_family's recurrence data, and through family_from_dict for what
 a family file must store. kls_polys runs that recurrence forward from
 p_0 = 1, which gives the ground truth for the polynomials themselves.
 
+record_operator_inputs patches qoperators.apply_Dq and apply_Sq, which
+every image table calls, to record each input polynomial; the operator
+counting tests of every module share it.
+
 qsqrts and sigma_vectors are the Hypothesis strategies for random
 parameter points: v = q^(1/2) in (0, 1) and sigma vectors, both with small
 numerators and denominators so that a family of modest size builds fast.
@@ -48,7 +52,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from awcalc import build_family, make_qcontext, params_from_sigmas
+from awcalc import build_family, make_qcontext, params_from_sigmas, qoperators
 from awcalc.errors import DomainError, InternalError
 from awcalc.proof_engine import ChainCoeffs
 from awcalc.qoperators import apply_Dq, structural_polys
@@ -69,6 +73,18 @@ def checkout_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return env
+
+
+def record_operator_inputs(monkeypatch) -> dict[str, list[PolyX]]:
+    """Patch qoperators.apply_Dq/apply_Sq, which every image table calls,
+    to record each input polynomial, in call order, per operator name."""
+    inputs = {"apply_Dq": [], "apply_Sq": []}
+    for name, seen in inputs.items():
+        def recording(ctx, p, _apply=getattr(qoperators, name), _seen=seen):
+            _seen.append(p)
+            return _apply(ctx, p)
+        monkeypatch.setattr(qoperators, name, recording)
+    return inputs
 
 
 qsqrts = st.integers(2, 7).flatmap(

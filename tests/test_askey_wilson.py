@@ -43,6 +43,7 @@ from helpers import (
     kls_recurrence,
     nonzero_rationals,
     qsqrts,
+    record_operator_inputs,
     sigma_vectors,
     small_rationals,
 )
@@ -122,12 +123,7 @@ class TestSolve:
     def test_each_monomial_image_is_built_once(self, monkeypatch):
         # the recurrence data come from the product rules and apply no
         # operator; only the 9 rechecks of p_n do, each 2 D and 1 S
-        inputs = {"apply_Dq": [], "apply_Sq": []}
-        for name, seen in inputs.items():
-            def recording(ctx, p, _apply=getattr(qoperators, name), _seen=seen):
-                _seen.append(p)
-                return _apply(ctx, p)
-            monkeypatch.setattr(qoperators, name, recording)
+        inputs = record_operator_inputs(monkeypatch)
         fam = cached_family.__wrapped__(*SET_B, 8)  # a fresh build, not the cached one
         assert {name: len(seen) for name, seen in inputs.items()} == {
             "apply_Dq": 18, "apply_Sq": 9,

@@ -31,7 +31,13 @@ from awcalc.cli import main
 from awcalc.errors import InternalError, OrthogonalityBroken
 from awcalc.qpoly import random_poly
 from awcalc.scalars import format_rational
-from helpers import cached_family, checkout_env, qsqrts, sigma_vectors
+from helpers import (
+    cached_family,
+    checkout_env,
+    qsqrts,
+    record_operator_inputs,
+    sigma_vectors,
+)
 from fractions import Fraction
 
 
@@ -51,18 +57,6 @@ def tampered_file(tmp_path, capsys, vtext, sigtext, N, edit):
     edit(blob)
     fam_path.write_text(json.dumps(blob))
     return fam_path
-
-
-def record_operator_inputs(monkeypatch):
-    """Patch qoperators.apply_Dq/apply_Sq to record the coefficients of
-    every input, in call order, per operator name."""
-    inputs = {"apply_Dq": [], "apply_Sq": []}
-    for name, seen in inputs.items():
-        def recorded(ctx, p, _seen=seen, _real=getattr(qoperators, name)):
-            _seen.append(p.coeffs)
-            return _real(ctx, p)
-        monkeypatch.setattr(qoperators, name, recorded)
-    return inputs
 
 
 class TestVerifyIdentities:
@@ -707,6 +701,39 @@ def test_output_bytes_are_pinned(argv, digest):
                           capture_output=True, env=checkout_env())
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+def test_chain_on_a_base_smaller_than_its_window(tmp_path):
+    # the golden chain's window is N = 7 + 3 + 2 = 12; on a base of N = 6
+    # the ladder, chain and nonvanishing windows of k = 3 (M = 3) are
+    # 1..3, 2..2 and empty, where the golden run reaches n_max in all three
+    fam_path = tmp_path / "fam6.json"
+    env = checkout_env()
+    built = subprocess.run(
+        [sys.executable, "-m", "awcalc", "build-family", "--qsqrt", "1/3",
+         "--sigmas=-3/2,2,1/4,-1", "--nmax", "6", "--out", str(fam_path)],
+        capture_output=True, env=env)
+    assert built.returncode == 0, built.stderr
+    done = subprocess.run(
+        [sys.executable, "-m", "awcalc", "verify-chain", "--family",
+         str(fam_path), "--nmax", "7", "--k", "1,2,3"],
+        capture_output=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == (
+        "b4b775e932c8202f10cdee80933536257789b4df3a2daee58dfa1dc4ab267285")
+    checks = json.loads(done.stdout)["checks"]
+    assert len(checks) == 100
+    keys = {}
+    for rec in checks:
+        if rec["k"] == 3:
+            keys.setdefault(rec["name"], []).append(rec["n"])
+    assert keys == {
+        "eq1a": [1, 2, 3], "no_common_zeros": [1, 2, 3],
+        "eq1b": [2, 3], "eq7": [3],
+        "eq3": [2], "eq4": [2], "eq3b": [2], "eq3a": [2], "eq6": [2],
+        "eq_final": [2], "proportionality": [2], "lambda_formula": [2],
+        "aw_form_match": [None], "aw_shift": [None],
+    }
 
 
 def test_chain_runs_past_the_int_str_digit_limit():

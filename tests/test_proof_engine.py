@@ -26,7 +26,7 @@ from awcalc import (
     run_chain_verification,
     verify_final_matches_aw,
 )
-from awcalc import proof_engine, qoperators
+from awcalc import proof_engine
 from awcalc.askey_wilson import family_from_dict, family_to_dict
 from awcalc.errors import (
     DegenerateParams,
@@ -61,6 +61,7 @@ from helpers import (
     gamma_factorial,
     is_mersenne_prime,
     qsqrts,
+    record_operator_inputs,
     sigma_vectors,
     sylvester_resultant,
 )
@@ -628,18 +629,6 @@ class TestIdentityKeys:
 def fresh_b8():
     # a build of its own: B8's table is warm from every test that ran on it
     return cached_family.__wrapped__(*SET_B, 8)
-
-
-def record_operator_inputs(monkeypatch):
-    """Patch qoperators.apply_Dq/apply_Sq, which every image table calls,
-    to record each input polynomial, in call order, per operator name."""
-    inputs = {"apply_Dq": [], "apply_Sq": []}
-    for name, seen in inputs.items():
-        def recording(ctx, p, _apply=getattr(qoperators, name), _seen=seen):
-            _seen.append(p)
-            return _apply(ctx, p)
-        monkeypatch.setattr(qoperators, name, recording)
-    return inputs
 
 
 def _operator_inputs_of_a_run(monkeypatch):
