@@ -10,8 +10,10 @@ v = q^(1/2),
 with e(z) = (z + 1/z)/2. On the basis element z^j + z^(-j) these come out
 in closed form: S is diagonal with multiplier alpha_j, and D maps it to
 2*gamma_j*(z^(j-1) + z^(j-3) + ... + z^(1-j)), dropping the degree by one.
-That is what apply_Dq and apply_Sq implement; the defining quotient above
-is re-derived independently in the test suite and checked against them.
+The kernels _dq_laurent and _sq_laurent implement these on Laurent
+coefficients, and apply_Dq and apply_Sq wrap them between to_laurent and
+from_laurent; the defining quotient above is re-derived independently in
+the test suite and checked against them.
 
 D lowers degree by exactly one and scales the leading coefficient by
 gamma_n; S preserves degree and scales it by alpha_n.
@@ -27,10 +29,18 @@ the whole verification engine downstream rests on them:
 
 where U1(x) = (alpha^2 - 1) x and U2(x) = (alpha^2 - 1)(x^2 - 1).
 
-Every D and S image the program reads comes from an OperatorImages
+The checks compare the two sides in the Laurent basis. Each left side is
+an operator image that is only compared, never multiplied, so it is kept
+there: D(fg), S(fg), S^2 f, DS f and the ladder D^k(x f) of the k-fold
+rule. Each right side is formed in x, as PolyX products of D and S images,
+and converted forward once. to_laurent is a linear bijection, so the
+residual brought back by from_laurent is exactly LHS - RHS in x, and the
+products are never taken in the Laurent ring the operators are defined in.
+
+Every D and S image the program reads in x comes from an OperatorImages
 table, keyed by object identity, which applies each operator to each
 polynomial once. One table serves the checks of one identity trial, which
-share f, D f, S f and D^j f. A family keeps the table its build recheck
+share f, g, D f, S f and D^j f. A family keeps the table its build recheck
 filled (askey_wilson), and the chain ladder steps through it (proof_engine).
 
 A check's outcome is an OperatorCheckResult. CheckRecord.of turns it into
@@ -51,17 +61,11 @@ from .scalars import QContext, Rational, alpha_k, format_rational, gamma
 IDENTITIES = ("product_D", "product_S", "S_squared", "DS_commute")
 
 
-def apply_Dq(ctx: QContext, p: PolyX) -> PolyX:
-    """Divided-difference operator; degree n goes to n - 1.
-
-    >>> from awcalc.scalars import make_qcontext
-    >>> ctx = make_qcontext(Fraction(1, 2))
-    >>> apply_Dq(ctx, PolyX.monomial(2))        # D x^2 = 2*alpha*x
-    PolyX(5/2*x)
-    """
-    lp = to_laurent(p)
+def _dq_laurent(ctx: QContext, lp: LaurentSym) -> LaurentSym:
+    """D in the Laurent basis: z^j + z^(-j) goes to
+    2*gamma_j*(z^(j-1) + z^(j-3) + ... + z^(1-j))."""
     if lp.top <= 0:
-        return PolyX.zero()
+        return LaurentSym.zero()
     out = [Fraction(0)] * lp.top
     for j in range(1, lp.top + 1):
         cj = lp.c[j]
@@ -72,7 +76,24 @@ def apply_Dq(ctx: QContext, p: PolyX) -> PolyX:
         while m >= 0:
             out[m] += w
             m -= 2
-    return from_laurent(LaurentSym(tuple(out)))
+    return LaurentSym(tuple(out))
+
+
+def _sq_laurent(ctx: QContext, lp: LaurentSym) -> LaurentSym:
+    """S in the Laurent basis: diagonal, multiplier alpha_j at level j."""
+    return LaurentSym(tuple(alpha_k(ctx, j) * lp.c[j]
+                            for j in range(lp.top + 1)))
+
+
+def apply_Dq(ctx: QContext, p: PolyX) -> PolyX:
+    """Divided-difference operator; degree n goes to n - 1.
+
+    >>> from awcalc.scalars import make_qcontext
+    >>> ctx = make_qcontext(Fraction(1, 2))
+    >>> apply_Dq(ctx, PolyX.monomial(2))        # D x^2 = 2*alpha*x
+    PolyX(5/2*x)
+    """
+    return from_laurent(_dq_laurent(ctx, to_laurent(p)))
 
 
 def apply_Sq(ctx: QContext, p: PolyX) -> PolyX:
@@ -83,9 +104,7 @@ def apply_Sq(ctx: QContext, p: PolyX) -> PolyX:
     >>> apply_Sq(ctx, PolyX.monomial(2))
     PolyX(-9/16 + 17/8*x^2)
     """
-    lp = to_laurent(p)
-    scaled = tuple(alpha_k(ctx, j) * lp.c[j] for j in range(lp.top + 1))
-    return from_laurent(LaurentSym(scaled))
+    return from_laurent(_sq_laurent(ctx, to_laurent(p)))
 
 
 def structural_polys(ctx: QContext) -> tuple[PolyX, PolyX]:
@@ -217,7 +236,13 @@ class ProofReport:
         return all(c.passed for c in self.checks)
 
 
-def _residual_result(name: str, residual: PolyX) -> OperatorCheckResult:
+def _residual_result(name: str, lhs: LaurentSym,
+                     rhs: PolyX) -> OperatorCheckResult:
+    """The check lhs = rhs, with lhs in the Laurent basis and rhs in x.
+
+    to_laurent is a linear bijection, so the residual brought back to x
+    is exactly LHS - RHS as both sides would read in x."""
+    residual = from_laurent(lhs - to_laurent(rhs))
     return OperatorCheckResult(name=name, passed=not residual, residual=residual)
 
 
@@ -227,10 +252,13 @@ def verify_identity(
     """Check one of the four structural identities on concrete input.
 
     product_D and product_S need both f and g; the composition identities
-    use f alone. Every D and S image comes from `images`, so the four
-    identities of one trial apply each operator to f, g, f*g, D f and S f
-    once between them. The returned residual is left-hand side minus
-    right-hand side, exactly.
+    use f alone. The left side, D(fg), S(fg), S(Sf) or D(Sf), is only
+    compared, so it stays in the Laurent basis. The right side is formed
+    in x: PolyX products of D and S images from `images`, so the four
+    identities of one trial apply each operator to f, g and D f once
+    between them. It is converted to the Laurent basis once, and the
+    returned residual is left-hand side minus right-hand side in x,
+    exactly.
     """
     if which not in IDENTITIES:
         raise UsageError(f"unknown identity {which!r}; known: {IDENTITIES}")
@@ -240,14 +268,18 @@ def verify_identity(
     u1, u2 = structural_polys(ctx)
     df, sf = D(f), S(f)
     if which == "product_D":
-        residual = D(f * g) - (df * S(g) + sf * D(g))
+        lhs = _dq_laurent(ctx, to_laurent(f * g))
+        rhs = df * S(g) + sf * D(g)
     elif which == "product_S":
-        residual = S(f * g) - (u2 * df * D(g) + sf * S(g))
+        lhs = _sq_laurent(ctx, to_laurent(f * g))
+        rhs = u2 * df * D(g) + sf * S(g)
     elif which == "S_squared":
-        residual = S(sf) - (ctx.alpha * u2 * D(df) + u1 * S(df) + f)
+        lhs = _sq_laurent(ctx, to_laurent(sf))
+        rhs = ctx.alpha * u2 * D(df) + u1 * S(df) + f
     else:
-        residual = D(sf) - (ctx.alpha * S(df) + u1 * D(df))
-    return _residual_result(which, residual)
+        lhs = _dq_laurent(ctx, to_laurent(sf))
+        rhs = ctx.alpha * S(df) + u1 * D(df)
+    return _residual_result(which, lhs, rhs)
 
 
 def verify_k_fold_rule(
@@ -258,21 +290,23 @@ def verify_k_fold_rule(
         D^k(x f) = gamma_k SD^(k-1) f + alpha_k x D^k f.
 
     k = 1 is the plain product rule applied to x*f; induction on k rides on
-    DS_commute, which is why this is checked for a range of k. D^j f and
-    D^j (x f) are built one D per rung and S is taken once per k, all from
-    `images`, so the rungs the identity checks already made are reused.
+    DS_commute, which is why this is checked for a range of k. The left
+    side is only compared, so the ladder D^k(x f) stays in the Laurent
+    basis, one D per rung. The right side is formed in x: D^j f one D per
+    rung and S once per k, all from `images`, so the rungs the identity
+    checks already made are reused.
     """
     if kmax < 1:
         raise UsageError(f"k-fold rule needs k >= 1, got {kmax}")
     ctx = images.ctx
     x = PolyX.x()
-    d_f, d_xf = [f], [x * f]
+    d_f, d_xf = [f], [to_laurent(x * f)]
     for _ in range(kmax):
         d_f.append(images.D(d_f[-1]))
-        d_xf.append(images.D(d_xf[-1]))
+        d_xf.append(_dq_laurent(ctx, d_xf[-1]))
     return tuple(
-        _residual_result(f"kfold_k{k}", d_xf[k] - (
-            gamma(ctx, k) * images.S(d_f[k - 1])
-            + alpha_k(ctx, k) * x * d_f[k]))
+        _residual_result(f"kfold_k{k}", d_xf[k],
+                         gamma(ctx, k) * images.S(d_f[k - 1])
+                         + alpha_k(ctx, k) * x * d_f[k])
         for k in range(1, kmax + 1)
     )

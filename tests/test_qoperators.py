@@ -5,6 +5,9 @@ application is compared against an independent substitution oracle
 (tests/helpers.py) that works on raw z-exponent dicts.
 """
 
+import contextlib
+import hashlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -13,17 +16,21 @@ from hypothesis import strategies as st
 
 from awcalc import (
     IDENTITIES,
+    cli,
     OperatorImages,
     PolyX,
     apply_Dq,
     apply_Sq,
     gamma,
     make_qcontext,
+    qoperators,
+    qpoly,
     structural_polys,
     verify_identity,
     verify_k_fold_rule,
 )
 from awcalc.errors import UsageError
+from awcalc.qpoly import random_poly
 from awcalc.scalars import alpha_k
 from helpers import breve, dq_oracle, sq_oracle
 
@@ -158,3 +165,71 @@ class TestOperatorImages:
             p = PolyX((Fraction(j), Fraction(1, j + 1), Fraction(j % 7)))
             assert images.D(p * p) == apply_Dq(ctx, p * p)
             assert images.S(p + p) == apply_Sq(ctx, p + p)
+
+
+class TestFailingResiduals:
+    # the left sides are compared in the Laurent basis; a failing check
+    # must still report LHS - RHS as both sides read in x
+    @given(contexts, polys, polys)
+    @settings(max_examples=30)
+    def test_residual_is_the_difference_in_x(self, ctx, f, g):
+        class CorruptDf(OperatorImages):
+            def D(self, p):
+                image = super().D(p)
+                return image + PolyX.x() if p is f else image
+
+        images = CorruptDf(ctx)
+        x = PolyX.x()
+        u1, u2 = structural_polys(ctx)
+        D = lambda p: apply_Dq(ctx, p)
+        S = lambda p: apply_Sq(ctx, p)
+        df = D(f) + x
+        want = {
+            "product_D": D(f * g) - (df * S(g) + S(f) * D(g)),
+            "product_S": S(f * g) - (u2 * df * D(g) + S(f) * S(g)),
+            "S_squared": S(S(f)) - (ctx.alpha * u2 * D(df) + u1 * S(df) + f),
+            "DS_commute": D(S(f)) - (ctx.alpha * S(df) + u1 * D(df)),
+        }
+        for which in IDENTITIES:
+            res = verify_identity(images, which, f, g)
+            assert res.residual == want[which]
+            assert res.passed == (not want[which])
+        d_f, d_xf = [f, df], [x * f]
+        for _ in range(5):
+            d_f.append(D(d_f[-1]))
+            d_xf.append(D(d_xf[-1]))
+        for k, res in enumerate(verify_k_fold_rule(images, f, 5), 1):
+            want_k = d_xf[k] - (gamma(ctx, k) * S(d_f[k - 1])
+                                + alpha_k(ctx, k) * x * d_f[k])
+            assert res.residual == want_k
+            assert res.passed == (not want_k)
+
+    def test_corrupted_report_keeps_its_bytes(self, monkeypatch):
+        # D f + x and S g + 1 in every trial; the digest was recorded when
+        # both sides were compared in x
+        drawn = []
+
+        def recorded_draw(rng, max_degree):
+            drawn.append(random_poly(rng, max_degree))
+            return drawn[-1]
+
+        class CorruptDfSg(OperatorImages):
+            def D(self, p):
+                image = super().D(p)
+                return image + PolyX.x() if p is drawn[-2] else image
+
+            def S(self, p):
+                image = super().S(p)
+                return image + PolyX.constant(1) if p is drawn[-1] else image
+
+        monkeypatch.setattr(qpoly, "random_poly", recorded_draw)
+        monkeypatch.setattr(qoperators, "OperatorImages", CorruptDfSg)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify-identities", "--qsqrt", "1/3", "--trials",
+                             "6", "--seed", "3", "--format", "text"])
+        text = out.getvalue()
+        assert code == 1
+        assert sum(": FAIL [" in line for line in text.splitlines()) == 42
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5456d6b3f72e1a51e6c5e1b9cc6df86069886c92d973fc157373e7cea644b53d")
