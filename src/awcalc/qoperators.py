@@ -13,7 +13,10 @@ in closed form: S is diagonal with multiplier alpha_j, and D maps it to
 The kernels _dq_laurent and _sq_laurent implement these on Laurent
 coefficients, and apply_Dq and apply_Sq wrap them between to_laurent and
 from_laurent; the defining quotient above is re-derived independently in
-the test suite and checked against them.
+the test suite and checked against them. Every image leaves from_laurent
+remembering the kernel's output as its Laurent form (qpoly), so an image
+fed to the next operator, or compared in the Laurent basis, is not
+converted forward again.
 
 D lowers degree by exactly one and scales the leading coefficient by
 gamma_n; S preserves degree and scales it by alpha_n.
@@ -36,12 +39,15 @@ rule. Each right side is formed in x, as PolyX products of D and S images,
 and converted forward once. to_laurent is a linear bijection, so the
 residual brought back by from_laurent is exactly LHS - RHS in x, and the
 products are never taken in the Laurent ring the operators are defined in.
+A trial converts 13 polynomials forward, each once: f, g, f g, x f and
+the nine right sides.
 
 Every D and S image the program reads in x comes from an OperatorImages
 table, keyed by object identity, which applies each operator to each
 polynomial once. One table serves the checks of one identity trial, which
-share f, g, D f, S f and D^j f. A family keeps the table its build recheck
-filled (askey_wilson), and the chain ladder steps through it (proof_engine).
+share f, g, f g, D f, S f and D^j f. A family keeps the table its build
+recheck filled (askey_wilson), and the chain ladder steps through it
+(proof_engine).
 
 A check's outcome is an OperatorCheckResult. CheckRecord.of turns it into
 one line of a report and ProofReport holds a run's lines in report order;
@@ -121,10 +127,11 @@ class OperatorImages:
 
     D(p) and S(p) call apply_Dq/apply_Sq on the first request for the
     object p and return the stored image afterwards; step(p) is the stored
-    D p / gamma_n for p of degree n >= 1, and D p = 0 for a constant. An
-    equal polynomial built anew is a new key. Each entry holds its key, so
-    no id is reused while the table lives: one identity trial, or one
-    family.
+    D p / gamma_n for p of degree n >= 1, and D p = 0 for a constant.
+    product(f, g) is the stored f g of a pair of objects, which the two
+    product rules of an identity trial share. An equal polynomial built
+    anew is a new key. Each entry holds its key, so no id is reused while
+    the table lives: one identity trial, or one family.
 
     >>> from awcalc.scalars import make_qcontext
     >>> images = OperatorImages(make_qcontext(Fraction(1, 2)))
@@ -141,6 +148,7 @@ class OperatorImages:
         self._d: dict[int, tuple[PolyX, PolyX]] = {}
         self._s: dict[int, tuple[PolyX, PolyX]] = {}
         self._step: dict[int, tuple[PolyX, PolyX]] = {}
+        self._product: dict[tuple[int, int], tuple[PolyX, PolyX, PolyX]] = {}
 
     def D(self, p: PolyX) -> PolyX:
         entry = self._d.get(id(p))
@@ -161,6 +169,12 @@ class OperatorImages:
             image = dp / gamma(self.ctx, p.degree) if p.degree >= 1 else dp
             entry = self._step[id(p)] = (p, image)
         return entry[1]
+
+    def product(self, f: PolyX, g: PolyX) -> PolyX:
+        entry = self._product.get((id(f), id(g)))
+        if entry is None:
+            entry = self._product[id(f), id(g)] = (f, g, f * g)
+        return entry[2]
 
 
 @dataclass(frozen=True)
@@ -253,9 +267,10 @@ def verify_identity(
 
     product_D and product_S need both f and g; the composition identities
     use f alone. The left side, D(fg), S(fg), S(Sf) or D(Sf), is only
-    compared, so it stays in the Laurent basis. The right side is formed
-    in x: PolyX products of D and S images from `images`, so the four
-    identities of one trial apply each operator to f, g and D f once
+    compared, so it stays in the Laurent basis; fg is the table's product,
+    one per trial, and S f arrives with its Laurent form. The right side
+    is formed in x: PolyX products of D and S images from `images`, so the
+    four identities of one trial apply each operator to f, g and D f once
     between them. It is converted to the Laurent basis once, and the
     returned residual is left-hand side minus right-hand side in x,
     exactly.
@@ -268,10 +283,10 @@ def verify_identity(
     u1, u2 = structural_polys(ctx)
     df, sf = D(f), S(f)
     if which == "product_D":
-        lhs = _dq_laurent(ctx, to_laurent(f * g))
+        lhs = _dq_laurent(ctx, to_laurent(images.product(f, g)))
         rhs = df * S(g) + sf * D(g)
     elif which == "product_S":
-        lhs = _sq_laurent(ctx, to_laurent(f * g))
+        lhs = _sq_laurent(ctx, to_laurent(images.product(f, g)))
         rhs = u2 * df * D(g) + sf * S(g)
     elif which == "S_squared":
         lhs = _sq_laurent(ctx, to_laurent(sf))

@@ -14,6 +14,14 @@ linear bijection (triangular with diagonal 2^(-j)), so to_laurent and
 from_laurent are exact inverses. Operators that are awkward in x are
 diagonal or near-diagonal in this basis, which is why it exists.
 
+A PolyX remembers its Laurent form, so each object is converted at most
+once: to_laurent stores the form it computes on its argument, and
+from_laurent stores its input on the polynomial it returns, which is
+exact because the peel inverts the conversion exactly. The form sits in a
+private attribute outside the dataclass fields, so it takes no part in
+==, hash, repr or to_json, and a sum, product or scalar multiple is a new
+object that starts without one.
+
 resultant() decides whether two polynomials share a root without ever
 leaving Q: it runs Euclid's remainder sequence on the coefficient lists
 and collects the leading-coefficient powers the sequence sheds.
@@ -49,6 +57,10 @@ class PolyX:
     """
 
     coeffs: tuple[Rational, ...]
+    # the remembered Laurent form, set by to_laurent and from_laurent;
+    # unannotated, so it is no dataclass field and stays out of ==, hash
+    # and repr
+    _laurent = None
 
     def __post_init__(self) -> None:
         cs = tuple(as_rational(c) for c in self.coeffs)
@@ -245,20 +257,31 @@ class LaurentSym:
 _X_LAURENT = LaurentSym((Fraction(0), Fraction(1, 2)))
 
 
-def to_laurent(p: PolyX) -> LaurentSym:
-    """Substitute x = (z + 1/z)/2; Horner in the Laurent ring.
-
-    >>> to_laurent(PolyX.monomial(2)).c     # x^2
-    (Fraction(1, 2), Fraction(0, 1), Fraction(1, 4))
-    """
+def _horner(p: PolyX) -> LaurentSym:
+    """Substitute x = (z + 1/z)/2 by Horner in the Laurent ring."""
     acc = LaurentSym.zero()
     for coeff in reversed(p.coeffs):
         acc = acc * _X_LAURENT + LaurentSym.constant(coeff)
     return acc
 
 
+def to_laurent(p: PolyX) -> LaurentSym:
+    """The Laurent form of p, converted on the first call for the object p
+    and remembered on it.
+
+    >>> to_laurent(PolyX.monomial(2)).c     # x^2
+    (Fraction(1, 2), Fraction(0, 1), Fraction(1, 4))
+    """
+    lp = p._laurent
+    if lp is None:
+        lp = _horner(p)
+        object.__setattr__(p, "_laurent", lp)
+    return lp
+
+
 def from_laurent(lp: LaurentSym) -> PolyX:
-    """Invert to_laurent by peeling the top Laurent coefficient.
+    """Invert to_laurent by peeling the top Laurent coefficient; the
+    returned polynomial remembers lp as its Laurent form.
 
     x^j contributes 2^(-j) at level j and nothing higher, so the x^j
     coefficient of the preimage is c_j * 2^j; subtract and recurse down.
@@ -274,6 +297,7 @@ def from_laurent(lp: LaurentSym) -> PolyX:
             raise InternalError("Laurent back-substitution did not reduce")
     if work:
         out = out + PolyX.constant(work.c[0])
+    object.__setattr__(out, "_laurent", lp)
     return out
 
 

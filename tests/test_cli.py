@@ -84,6 +84,33 @@ class TestVerifyIdentities:
         for seen in inputs.values():
             assert len(set(seen)) == len(seen)
 
+    def test_one_trial_converts_thirteen_polynomials_once_each(
+            self, monkeypatch, capsys):
+        # f, g, f g, x f and the nine right sides; every operator image,
+        # S f among them, leaves its kernel with its Laurent form, and the
+        # two product rules share one f g. Horner runs on the monomials
+        # that from_laurent peels happen outside these calls.
+        horner, runs = qpoly._horner, []
+
+        def counting(p):
+            runs.append(p)
+            return horner(p)
+
+        converted = []
+
+        def converting(p, _to=qoperators.to_laurent):
+            before = len(runs)
+            lp = _to(p)
+            converted.extend(runs[before:])
+            return lp
+
+        monkeypatch.setattr(qpoly, "_horner", counting)
+        monkeypatch.setattr(qoperators, "to_laurent", converting)
+        argv = ["verify-identities", "--qsqrt", "1/3", "--trials", "1", "--seed", "3"]
+        assert run(argv, capsys)[0] == 0
+        assert len(converted) == 13
+        assert len({id(p) for p in converted}) == 13
+
     def test_no_image_table_outlives_its_trial(self, monkeypatch, capsys):
         # every trial redraws the first trial's f and g, so a table kept
         # from one trial would answer every image of the next

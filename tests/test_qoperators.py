@@ -155,6 +155,14 @@ class TestOperatorImages:
         assert images.step(p) == want
         assert images.step(p) is images.step(p)
 
+    @given(contexts, polys, polys)
+    @settings(max_examples=30)
+    def test_one_product_per_pair(self, ctx, f, g):
+        images = OperatorImages(ctx)
+        assert images.product(f, g) == f * g
+        assert images.product(f, g) is images.product(f, g)
+        assert images.product(g, f) is not images.product(f, g)
+
     def test_the_table_keeps_its_keys_alive(self):
         # every temporary is dropped by its caller at once; a table that
         # stored only id(p) would see the ids come back on new polynomials
@@ -233,3 +241,26 @@ class TestFailingResiduals:
         assert sum(": FAIL [" in line for line in text.splitlines()) == 42
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "5456d6b3f72e1a51e6c5e1b9cc6df86069886c92d973fc157373e7cea644b53d")
+
+    def test_a_faulty_kernel_report_keeps_its_bytes(self, monkeypatch):
+        # S doubles level 1 of every Laurent form: the images carry the
+        # faulty kernel's output as their remembered form, and the report
+        # must read as it did when every image was converted afresh
+        sq = qoperators._sq_laurent
+
+        def doubled(ctx, lp):
+            c = list(sq(ctx, lp).c)
+            if len(c) > 1:
+                c[1] *= 2
+            return qpoly.LaurentSym(tuple(c))
+
+        monkeypatch.setattr(qoperators, "_sq_laurent", doubled)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify-identities", "--qsqrt", "1/3", "--trials",
+                             "6", "--seed", "3", "--format", "text"])
+        text = out.getvalue()
+        assert code == 1
+        assert sum(": FAIL [" in line for line in text.splitlines()) == 40
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ab59e0a0712d2a8ab3bea394e3ad0fe07943e5e86fb8329009da66b7115fee02")

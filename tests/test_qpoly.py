@@ -1,5 +1,6 @@
 """Polynomial ring, symmetric Laurent view, and resultants."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from awcalc import PolyX
+from awcalc import PolyX, qpoly
 from awcalc.errors import DomainError
 from awcalc.proof_engine import derived_family
 from awcalc.qoperators import apply_Dq, apply_Sq
@@ -23,6 +24,7 @@ nonzero_polys = st.integers(0, 5).flatmap(
     lambda d: st.tuples(st.lists(coeff, min_size=d, max_size=d), nonzero_coeff)
     .map(lambda t: PolyX(tuple(t[0]) + (t[1],))))
 linear = st.tuples(coeff, nonzero_coeff).map(PolyX)
+laurents = st.lists(coeff, max_size=6).map(tuple).map(LaurentSym)
 points = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
@@ -93,6 +95,52 @@ class TestLaurent:
 
     def test_x_maps_to_half_z_plus_invz(self):
         assert to_laurent(PolyX.x()) == LaurentSym((Fraction(0), Fraction(1, 2)))
+
+
+class TestRememberedForm:
+    # a PolyX keeps the Laurent form computed for it, or the one it was
+    # brought back from; no caller may be able to tell
+
+    @given(polys)
+    def test_a_remembered_form_is_the_fresh_conversion(self, p):
+        first = to_laurent(p)
+        assert first == to_laurent(PolyX(p.coeffs))
+        assert to_laurent(p) is first
+        assert to_laurent(p) == to_laurent(PolyX(p.coeffs))
+
+    @given(laurents)
+    def test_a_back_conversion_remembers_its_input_exactly(self, lp):
+        p = from_laurent(lp)
+        assert to_laurent(p) is lp
+        assert to_laurent(PolyX(p.coeffs)) == lp
+
+    @given(polys)
+    def test_remembering_changes_no_observable(self, p):
+        unseen = PolyX(p.coeffs)
+        back = from_laurent(to_laurent(p))
+        for q in (p, back):
+            assert q == unseen and unseen == q
+            assert hash(q) == hash(unseen)
+            assert repr(q) == repr(unseen)
+            assert q.to_json() == unseen.to_json()
+            assert dataclasses.asdict(q) == {"coeffs": unseen.coeffs}
+
+    @given(polys, polys, nonzero_coeff)
+    def test_new_polynomials_start_without_a_form(self, p, q, c):
+        to_laurent(p), to_laurent(q)
+        made = (p + q, p - q, -p, p * c, c * p, p / c, p * q)
+        horner, converted = qpoly._horner, []
+
+        def counting(r):
+            converted.append(r)
+            return horner(r)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qpoly, "_horner", counting)
+            for r in made:
+                assert to_laurent(r) == horner(r)
+        assert len(converted) == len(made)
+        assert all(a is b for a, b in zip(converted, made))
 
 
 class TestResultant:
