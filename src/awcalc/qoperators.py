@@ -74,7 +74,7 @@ def _dq_laurent(ctx: QContext, lp: LaurentSym) -> LaurentSym:
         return LaurentSym.zero()
     out = [Fraction(0)] * lp.top
     for j in range(1, lp.top + 1):
-        cj = lp.c[j]
+        cj = lp.coeffs[j]
         if cj == 0:
             continue
         w = 2 * cj * gamma(ctx, j)
@@ -87,7 +87,7 @@ def _dq_laurent(ctx: QContext, lp: LaurentSym) -> LaurentSym:
 
 def _sq_laurent(ctx: QContext, lp: LaurentSym) -> LaurentSym:
     """S in the Laurent basis: diagonal, multiplier alpha_j at level j."""
-    return LaurentSym(tuple(alpha_k(ctx, j) * lp.c[j]
+    return LaurentSym(tuple(alpha_k(ctx, j) * lp.coeffs[j]
                             for j in range(lp.top + 1)))
 
 
@@ -126,12 +126,13 @@ class OperatorImages:
     """D and S images at one context, each computed once per polynomial.
 
     D(p) and S(p) call apply_Dq/apply_Sq on the first request for the
-    object p and return the stored image afterwards; step(p) is the stored
-    D p / gamma_n for p of degree n >= 1, and D p = 0 for a constant.
-    product(f, g) is the stored f g of a pair of objects, which the two
-    product rules of an identity trial share. An equal polynomial built
-    anew is a new key. Each entry holds its key, so no id is reused while
-    the table lives: one identity trial, or one family.
+    object p and return the stored image afterwards. step(p) is the stored
+    D p / gamma_n for p of degree n >= 1, and D p = 0 for a constant; it
+    applies D itself, so D p is not stored beside it. product(f, g) is the
+    stored f g of a pair of objects, which the two product rules of an
+    identity trial share. An equal polynomial built anew is a new key.
+    Each entry holds its key, so no id is reused while the table lives:
+    one identity trial, or one family.
 
     >>> from awcalc.scalars import make_qcontext
     >>> images = OperatorImages(make_qcontext(Fraction(1, 2)))
@@ -165,7 +166,7 @@ class OperatorImages:
     def step(self, p: PolyX) -> PolyX:
         entry = self._step.get(id(p))
         if entry is None:
-            dp = self.D(p)
+            dp = apply_Dq(self.ctx, p)
             image = dp / gamma(self.ctx, p.degree) if p.degree >= 1 else dp
             entry = self._step[id(p)] = (p, image)
         return entry[1]

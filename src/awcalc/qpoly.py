@@ -3,15 +3,17 @@
 PolyX is an immutable polynomial over Q with coefficients stored
 constant-first. The divided-difference calculus downstream never evaluates
 anything numerically: polynomials are compared coefficient by coefficient.
+PolyX and LaurentSym share one core, the trimmed tuple coeffs with its
+sum, difference, negation and scalar product, and add their own products.
 
 The second half of the module handles the substitution x = (z + 1/z)/2.
 Under it a degree-n polynomial becomes a symmetric Laurent polynomial
 
     c_0 + sum_{j=1..n} c_j (z^j + z^(-j)),
 
-and LaurentSym stores exactly the tuple (c_0, c_1, ..., c_n). The map is a
-linear bijection (triangular with diagonal 2^(-j)), so to_laurent and
-from_laurent are exact inverses. Operators that are awkward in x are
+and LaurentSym stores the tuple (c_0, c_1, ..., c_n) as its coeffs. The
+map is a linear bijection (triangular with diagonal 2^(-j)), so to_laurent
+and from_laurent are exact inverses. Operators that are awkward in x are
 diagonal or near-diagonal in this basis, which is why it exists.
 
 A PolyX remembers its Laurent form, so each object is converted at most
@@ -45,22 +47,12 @@ _NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
-class PolyX:
-    """Polynomial in x over Q, coefficients constant-first, trailing zeros
-    trimmed so equal polynomials compare equal.
-
-    >>> p = PolyX((1, 0, -2))    # 1 - 2x^2
-    >>> p.degree
-    2
-    >>> (p * PolyX.x()).coeffs
-    (Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(-2, 1))
-    """
+class _Dense:
+    """Coefficients over Q, trailing zeros trimmed so equal objects compare
+    equal, and their linear operations. A result has its operands' class,
+    and operands of different classes do not mix."""
 
     coeffs: tuple[Rational, ...]
-    # the remembered Laurent form, set by to_laurent and from_laurent;
-    # unannotated, so it is no dataclass field and stays out of ==, hash
-    # and repr
-    _laurent = None
 
     def __post_init__(self) -> None:
         cs = tuple(as_rational(c) for c in self.coeffs)
@@ -69,16 +61,57 @@ class PolyX:
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
-    def zero(cls) -> "PolyX":
+    def zero(cls):
         return cls(())
+
+    @classmethod
+    def constant(cls, c):
+        return cls((as_rational(c),))
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        mixed = [a[i] + b[i] for i in range(len(b))]
+        return type(self)(tuple(mixed) + a[len(b):])
+
+    def __neg__(self):
+        return type(self)(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def _scaled(self, c):
+        """c * self for an int or Fraction c; each __mul__ calls it."""
+        c = as_rational(c)
+        return type(self)(tuple(c * a for a in self.coeffs))
+
+
+class PolyX(_Dense):
+    """Polynomial in x over Q, coefficients constant-first.
+
+    >>> p = PolyX((1, 0, -2))    # 1 - 2x^2
+    >>> p.degree
+    2
+    >>> (p * PolyX.x()).coeffs
+    (Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(-2, 1))
+    """
+
+    # the remembered Laurent form, set by to_laurent and from_laurent;
+    # unannotated, so it is no dataclass field and stays out of ==, hash
+    # and repr
+    _laurent = None
 
     @classmethod
     def x(cls) -> "PolyX":
         return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def constant(cls, c) -> "PolyX":
-        return cls((as_rational(c),))
 
     @classmethod
     def monomial(cls, n: int, c=1) -> "PolyX":
@@ -104,26 +137,6 @@ class PolyX:
             raise UsageError(f"coefficient index must be >= 0, got {n}")
         return self.coeffs[n] if n < len(self.coeffs) else Fraction(0)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "PolyX") -> "PolyX":
-        if not isinstance(other, PolyX):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        mixed = [a[i] + b[i] for i in range(len(b))]
-        return PolyX(tuple(mixed) + a[len(b):])
-
-    def __neg__(self) -> "PolyX":
-        return PolyX(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "PolyX") -> "PolyX":
-        if not isinstance(other, PolyX):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, PolyX):
             if not self.coeffs or not other.coeffs:
@@ -136,8 +149,7 @@ class PolyX:
                     out[i + j] += a * b
             return PolyX(tuple(out))
         if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            return PolyX(tuple(c * a for a in self.coeffs))
+            return self._scaled(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -180,67 +192,33 @@ def random_poly(rng: random.Random, max_degree: int) -> PolyX:
     return PolyX(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class LaurentSym:
+class LaurentSym(_Dense):
     """Symmetric Laurent polynomial c_0 + sum_{j>=1} c_j (z^j + z^(-j)),
-    stored as the tuple (c_0, c_1, ...), trailing zeros trimmed."""
-
-    c: tuple[Rational, ...]
-
-    def __post_init__(self) -> None:
-        cs = tuple(as_rational(v) for v in self.c)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "c", cs)
-
-    @classmethod
-    def zero(cls) -> "LaurentSym":
-        return cls(())
-
-    @classmethod
-    def constant(cls, value) -> "LaurentSym":
-        return cls((as_rational(value),))
+    stored as coeffs = (c_0, c_1, ...)."""
 
     @property
     def top(self) -> int:
         """Largest j with c_j != 0; -1 for zero."""
-        return len(self.c) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __add__(self, other: "LaurentSym") -> "LaurentSym":
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        mixed = [a[i] + b[i] for i in range(len(b))]
-        return LaurentSym(tuple(mixed) + a[len(b):])
-
-    def __neg__(self) -> "LaurentSym":
-        return LaurentSym(tuple(-v for v in self.c))
-
-    def __sub__(self, other: "LaurentSym") -> "LaurentSym":
-        return self + (-other)
+        return len(self.coeffs) - 1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            s = as_rational(other)
-            return LaurentSym(tuple(s * v for v in self.c))
+            return self._scaled(other)
         if not isinstance(other, LaurentSym):
             return NotImplemented
-        if not self.c or not other.c:
+        if not self.coeffs or not other.coeffs:
             return LaurentSym.zero()
         # Expand both to full exponent vectors over -m..m, convolve, fold
         # back. Index i of `full` holds the coefficient of z^(i - m).
         na, nb = self.top, other.top
         a = [Fraction(0)] * (2 * na + 1)
         for j in range(na + 1):
-            a[na + j] = self.c[j]
-            a[na - j] = self.c[j]
+            a[na + j] = self.coeffs[j]
+            a[na - j] = self.coeffs[j]
         b = [Fraction(0)] * (2 * nb + 1)
         for j in range(nb + 1):
-            b[nb + j] = other.c[j]
-            b[nb - j] = other.c[j]
+            b[nb + j] = other.coeffs[j]
+            b[nb - j] = other.coeffs[j]
         full = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, va in enumerate(a):
             if va == 0:
@@ -269,7 +247,7 @@ def to_laurent(p: PolyX) -> LaurentSym:
     """The Laurent form of p, converted on the first call for the object p
     and remembered on it.
 
-    >>> to_laurent(PolyX.monomial(2)).c     # x^2
+    >>> to_laurent(PolyX.monomial(2)).coeffs    # x^2
     (Fraction(1, 2), Fraction(0, 1), Fraction(1, 4))
     """
     lp = p._laurent
@@ -290,13 +268,13 @@ def from_laurent(lp: LaurentSym) -> PolyX:
     out = PolyX.zero()
     while work.top >= 1:
         j = work.top
-        a = work.c[j] * (2 ** j)
+        a = work.coeffs[j] * (2 ** j)
         out = out + PolyX.monomial(j, a)
         work = work - to_laurent(PolyX.monomial(j, a))
         if work.top >= j:
             raise InternalError("Laurent back-substitution did not reduce")
     if work:
-        out = out + PolyX.constant(work.c[0])
+        out = out + PolyX.constant(work.coeffs[0])
     object.__setattr__(out, "_laurent", lp)
     return out
 

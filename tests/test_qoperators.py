@@ -249,7 +249,7 @@ class TestFailingResiduals:
         sq = qoperators._sq_laurent
 
         def doubled(ctx, lp):
-            c = list(sq(ctx, lp).c)
+            c = list(sq(ctx, lp).coeffs)
             if len(c) > 1:
                 c[1] *= 2
             return qpoly.LaurentSym(tuple(c))

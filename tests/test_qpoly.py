@@ -1,6 +1,7 @@
 """Polynomial ring, symmetric Laurent view, and resultants."""
 
 import dataclasses
+import operator
 import random
 from fractions import Fraction
 
@@ -88,10 +89,23 @@ class TestLaurent:
     def test_round_trip(self, p):
         assert from_laurent(to_laurent(p)) == p
 
-    @given(polys, polys)
-    def test_to_laurent_is_a_ring_homomorphism(self, p, q):
+    @given(polys, polys, coeff)
+    def test_to_laurent_is_a_ring_homomorphism(self, p, q, c):
         assert to_laurent(p * q) == to_laurent(p) * to_laurent(q)
         assert to_laurent(p + q) == to_laurent(p) + to_laurent(q)
+        assert to_laurent(-p) == -to_laurent(p)
+        assert to_laurent(p - q) == to_laurent(p) - to_laurent(q)
+        assert to_laurent(c * p) == c * to_laurent(p) == to_laurent(p) * c
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub],
+                             ids=["add", "sub"])
+    def test_the_two_bases_do_not_mix(self, op):
+        # a sum or difference of a PolyX and a LaurentSym has no meaning;
+        # both orders must refuse it with TypeError
+        p, lp = PolyX((1, 2)), LaurentSym((1, 2))
+        for a, b in ((p, lp), (lp, p)):
+            with pytest.raises(TypeError):
+                op(a, b)
 
     def test_x_maps_to_half_z_plus_invz(self):
         assert to_laurent(PolyX.x()) == LaurentSym((Fraction(0), Fraction(1, 2)))
