@@ -52,6 +52,7 @@ from .qpoly import PolyX
 from .scalars import (
     QContext,
     Rational,
+    alpha_k,
     as_rational,
     format_rational,
     gamma,
@@ -125,30 +126,25 @@ def _reject_degenerate(ctx: QContext, params: AWParams, N: int) -> None:
 def _top_of_L(ctx: QContext, f: PolyX, g: PolyX,
               N: int) -> list[tuple[Rational, Rational, Rational]]:
     """(l_(m,m), l_(m,m-1), l_(m,m-2)) for m = 0..N, l_(m,j) being the
-    coefficient of x^j in L[x^m]; no operator is applied. D x^m has only
-    the powers x^(m-1), x^(m-3), ... and S x^m only x^m, x^(m-2), ...; the
-    product rules D x^m = S x^(m-1) + alpha x D x^(m-1) and
-    S x^m = U2 D x^(m-1) + alpha x S x^(m-1), U2 = s (x^2 - 1), step the top
-    two of each up from D 1 = 0 and S 1 = 1, and those of D x^(m-1),
-    D x^(m-3) and their S images give D^2 x^m and SD x^m by linearity."""
-    alpha = ctx.alpha
-    s = alpha * alpha - 1
+    coefficient of x^j in L[x^m]; no operator is applied. x^m = 2^(-m)
+    sum_i C(m,i) z^(m-2i) (qoperators) gives D x^m = gamma_m x^(m-1)
+    + d_m x^(m-3) + ... and S x^m = alpha_m x^m + s_m x^(m-2) + ..., with
+    d_m = (m gamma_(m-2) - (m-2) gamma_m)/4 (0 for m < 3) and
+    s_m = m (alpha_(m-2) - alpha_m)/4 (0 for m < 2). Applied to D x^m they
+    give the top two coefficients of D^2 x^m and SD x^m, and L is linear."""
     f0, f1, f2 = (f.coeff(j) for j in range(3))
     g0, g1 = g.coeff(0), g.coeff(1)
-    # row 3 + m is x^m's; three zero rows stand for m < 0
-    zeros = (Fraction(0), Fraction(0))
-    d, sx = [zeros] * 4, [zeros] * 3 + [(Fraction(1), Fraction(0))]
-    for _ in range(N):
-        (dt, dn), (st, sn) = d[-1], sx[-1]
-        d.append((st + alpha * dt, sn + alpha * dn))
-        sx.append((s * dt + alpha * st, s * (dn - dt) + alpha * sn))
-    top = []
-    for i in range(3, N + 4):
-        (dt, dn), (dt1, dn1), (st1, sn1) = d[i], d[i - 1], sx[i - 1]
-        d2, d2_next = dt * dt1, dt * dn1 + dn * d[i - 3][0]
-        sd, sd_next = dt * st1, dt * sn1 + dn * sx[i - 3][0]
+    top, d_prev, s_prev = [], Fraction(0), Fraction(0)  # times gamma_0 = 0
+    for m in range(N + 1):
+        gm = gamma(ctx, m)
+        dm = (m * gamma(ctx, m - 2) - (m - 2) * gm) / 4
+        sm = m * (alpha_k(ctx, m - 2) - alpha_k(ctx, m)) / 4
+        d2, sd = gm * gamma(ctx, m - 1), gm * alpha_k(ctx, m - 1)
+        d2_next = gm * d_prev + dm * gamma(ctx, m - 3)
+        sd_next = gm * s_prev + dm * alpha_k(ctx, m - 3)
         top.append((f2 * d2 + g1 * sd, f1 * d2 + g0 * sd,
                     f2 * d2_next + f0 * d2 + g1 * sd_next))
+        d_prev, s_prev = dm, sm
     return top
 
 
@@ -235,10 +231,11 @@ def three_term_data(polys: tuple[PolyX, ...]) -> tuple[tuple, tuple]:
     return bs, cs
 
 
+@dataclass(frozen=True, eq=False)
 class Ladder:
     """Index-checked access to monic polys p_0..p_M and their recurrence
-    data: B holds B_0..B_(M-1), C holds C_1..C_(M-1) stored shifted. Use
-    the accessors, they do the index bookkeeping."""
+    data: B holds B_0..B_(M-1), C holds C_1..C_(M-1) stored shifted, and
+    M is read off polys. Use the accessors, they do the index bookkeeping."""
 
     polys: tuple[PolyX, ...]
     B: tuple[Rational, ...]
@@ -262,7 +259,8 @@ class Ladder:
 
 @dataclass(frozen=True, eq=False)
 class AWFamily(Ladder):
-    """Monic solutions p_0..p_N with their recurrence data.
+    """Monic solutions p_0..p_N with their recurrence data; N is read off
+    polys, so a family cut with dataclasses.replace reports its own size.
 
     Families hash and compare by identity: a cache keyed on a family costs
     O(1) per lookup instead of a walk over every coefficient. Two builds
@@ -274,11 +272,11 @@ class AWFamily(Ladder):
 
     ctx: QContext
     params: AWParams
-    N: int
-    polys: tuple[PolyX, ...]
-    B: tuple[Rational, ...]
-    C: tuple[Rational, ...]
     images: OperatorImages = field(repr=False)
+
+    @property
+    def N(self) -> int:
+        return len(self.polys) - 1
 
 
 def build_family(ctx: QContext, params: AWParams, N: int) -> AWFamily:
@@ -287,7 +285,7 @@ def build_family(ctx: QContext, params: AWParams, N: int) -> AWFamily:
     _reject_degenerate(ctx, params, N)
     images = OperatorImages(ctx)
     bs, cs, polys = solve_operator_equation(images, params, N)
-    return AWFamily(ctx=ctx, params=params, N=N, polys=polys, B=bs, C=cs,
+    return AWFamily(ctx=ctx, params=params, polys=polys, B=bs, C=cs,
                     images=images)
 
 

@@ -215,32 +215,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-identities",
         help="check the operator identities on seeded random polynomials",
     )
-    pi.add_argument("--qsqrt", required=True, metavar="R",
-                    help="rational v = q^(1/2), 0 < v < 1, e.g. 1/2")
-    pi.add_argument("--trials", type=_nonneg_int, default=20,
-                    help="number of random polynomial pairs (default 20)")
-    pi.add_argument("--seed", type=_nonneg_int, default=0,
-                    help="RNG seed (default 0)")
-
     pb = sub.add_parser(
         "build-family",
         help="solve the operator equation up to degree nmax; emits JSON",
     )
-    pb.add_argument("--qsqrt", required=True, metavar="R")
-    pb.add_argument("--params", default=None, metavar="A,B,C,D",
-                    help="four rational roots")
-    pb.add_argument("--sigmas", default=None, metavar="S1,S2,S3,S4",
-                    help="four elementary symmetric functions")
-    pb.add_argument("--nmax", type=_nonneg_int, default=8,
-                    help="largest degree to build (default 8)")
-
     pc = sub.add_parser(
         "verify-chain",
         help="verify the equation chain for the derived families",
     )
-    pc.add_argument("--qsqrt", default=None, metavar="R")
-    pc.add_argument("--params", default=None, metavar="A,B,C,D")
-    pc.add_argument("--sigmas", default=None, metavar="S1,S2,S3,S4")
+    # verify-chain takes v from --family when one is given
+    for p in (pi, pb, pc):
+        p.add_argument("--qsqrt", required=p is not pc, default=None,
+                       metavar="R",
+                       help="rational v = q^(1/2), 0 < v < 1, e.g. 1/2")
+    for p in (pb, pc):
+        p.add_argument("--params", default=None, metavar="A,B,C,D",
+                       help="four rational roots")
+        p.add_argument("--sigmas", default=None, metavar="S1,S2,S3,S4",
+                       help="four elementary symmetric functions")
+    pi.add_argument("--trials", type=_nonneg_int, default=20,
+                    help="number of random polynomial pairs (default 20)")
+    pi.add_argument("--seed", type=_nonneg_int, default=0,
+                    help="RNG seed (default 0)")
+    pb.add_argument("--nmax", type=_nonneg_int, default=8,
+                    help="largest degree to build (default 8)")
     pc.add_argument("--family", default=None, metavar="PATH",
                     help="verify a stored family file instead of building one")
     pc.add_argument("--nmax", type=_nonneg_int, default=8,

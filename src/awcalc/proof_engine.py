@@ -123,9 +123,6 @@ class DerivedFamily(Ladder):
 
     k: int
     base: AWFamily
-    polys: tuple[PolyX, ...]
-    B: tuple[Rational, ...]
-    C: tuple[Rational, ...]
 
     @property
     def M(self) -> int:
@@ -672,7 +669,7 @@ def _window(base: AWFamily, cap: int) -> AWFamily:
     image table; the base itself when it is no larger."""
     if base.N <= cap:
         return base
-    return replace(base, N=cap, polys=base.polys[: cap + 1], B=base.B[:cap],
+    return replace(base, polys=base.polys[: cap + 1], B=base.B[:cap],
                    C=base.C[: cap - 1])
 
 

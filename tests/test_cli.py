@@ -704,6 +704,21 @@ class TestParser:
         code, _, err = run(["build-family", "--qsqrt", "1/2", "--nmax", "2.5"], capsys)
         assert code == 2 and "argument --nmax: expected an integer, got '2.5'" in err
 
+    @pytest.mark.parametrize("command, shared", [
+        ("verify-identities", ("--qsqrt",)),
+        ("build-family", ("--qsqrt", "--params", "--sigmas")),
+        ("verify-chain", ("--qsqrt", "--params", "--sigmas")),
+    ])
+    def test_shared_options_carry_the_same_help(self, command, shared, capsys):
+        helps = {"--qsqrt": "rational v = q^(1/2), 0 < v < 1, e.g. 1/2",
+                 "--params": "four rational roots",
+                 "--sigmas": "four elementary symmetric functions"}
+        code, out, _ = run([command, "--help"], capsys)
+        text = " ".join(out.split())  # argparse wraps to the terminal width
+        assert code == 0
+        for flag in shared:
+            assert helps[flag] in text, flag
+
 
 # sha256 of stdout, recorded when each degree was still solved by its own
 # triangular system (build, chain; a build now generates p_n by the

@@ -706,6 +706,16 @@ def test_a_replaced_polynomial_does_not_reuse_the_recheck(monkeypatch):
     assert report.checks == run_chain_verification(base, [1, 2], 5).checks
 
 
+def test_a_cut_family_reports_the_size_of_its_polys():
+    # N is read off polys, so a family cut with replace is the N = 5 family
+    # in every form: its dict, the family loaded from it and its derivation
+    cut = replace(B8, polys=B8.polys[:6], B=B8.B[:5], C=B8.C[:4])
+    assert cut.N == 5
+    assert family_to_dict(cut) == family_to_dict(build_family(B8.ctx, B8.params, 5))
+    assert family_from_dict(family_to_dict(cut)).N == 5
+    assert derived_family(cut, 1).M == 4
+
+
 def test_check_record_is_plain_data():
     rec = CheckRecord(name="eq3", k=1, n=4, passed=True, witness="0")
     assert asdict(rec) == {"name": "eq3", "k": 1, "n": 4, "passed": True, "witness": "0"}
