@@ -235,11 +235,19 @@ def three_term_data(polys: tuple[PolyX, ...]) -> tuple[tuple, tuple]:
 class Ladder:
     """Index-checked access to monic polys p_0..p_M and their recurrence
     data: B holds B_0..B_(M-1), C holds C_1..C_(M-1) stored shifted, and
-    M is read off polys. Use the accessors, they do the index bookkeeping."""
+    M is read off polys; other lengths are a UsageError. Use the
+    accessors, they do the index bookkeeping."""
 
     polys: tuple[PolyX, ...]
     B: tuple[Rational, ...]
     C: tuple[Rational, ...]
+
+    def __post_init__(self) -> None:
+        M = len(self.polys) - 1
+        if len(self.B) != M or len(self.C) != max(M - 1, 0):
+            raise UsageError(
+                f"{len(self.B)} B and {len(self.C)} C values do not fit "
+                f"p_0..p_{M}; need {M} and {max(M - 1, 0)}")
 
     def poly(self, n: int) -> PolyX:
         if not 0 <= n < len(self.polys):

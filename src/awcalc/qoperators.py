@@ -37,8 +37,8 @@ an operator image that is only compared, never multiplied, so it is kept
 there: D(fg), S(fg), S^2 f, DS f and the ladder D^k(x f) of the k-fold
 rule. Each right side is formed in x, as PolyX products of D and S images,
 and converted forward once. to_laurent is a linear bijection, so the
-residual brought back by from_laurent is exactly LHS - RHS in x, and the
-products are never taken in the Laurent ring the operators are defined in.
+residual brought back by from_laurent is exactly LHS - RHS in x. Only
+PolyX has a ring product; a LaurentSym is only added and scaled.
 A trial converts 13 polynomials forward, each once: f, g, f g, x f and
 the nine right sides.
 

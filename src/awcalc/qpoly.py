@@ -4,7 +4,8 @@ PolyX is an immutable polynomial over Q with coefficients stored
 constant-first. The divided-difference calculus downstream never evaluates
 anything numerically: polynomials are compared coefficient by coefficient.
 PolyX and LaurentSym share one core, the trimmed tuple coeffs with its
-sum, difference, negation and scalar product, and add their own products.
+sum, difference, negation and scalar product. Only PolyX has a ring
+product; LaurentSym is a vector space, only added and scaled.
 
 The second half of the module handles the substitution x = (z + 1/z)/2.
 Under it a degree-n polynomial becomes a symmetric Laurent polynomial
@@ -94,6 +95,20 @@ class _Dense:
         return type(self)(tuple(c * a for a in self.coeffs))
 
 
+def _convolve(a, b) -> tuple:
+    """The dense product of two coefficient sequences, constant first;
+    () when either is empty. The module's one product loop."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, va in enumerate(a):
+        if va == 0:
+            continue
+        for j, vb in enumerate(b):
+            out[i + j] += va * vb
+    return tuple(out)
+
+
 class PolyX(_Dense):
     """Polynomial in x over Q, coefficients constant-first.
 
@@ -139,15 +154,7 @@ class PolyX(_Dense):
 
     def __mul__(self, other):
         if isinstance(other, PolyX):
-            if not self.coeffs or not other.coeffs:
-                return PolyX.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return PolyX(tuple(out))
+            return PolyX(_convolve(self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         return NotImplemented
@@ -194,7 +201,8 @@ def random_poly(rng: random.Random, max_degree: int) -> PolyX:
 
 class LaurentSym(_Dense):
     """Symmetric Laurent polynomial c_0 + sum_{j>=1} c_j (z^j + z^(-j)),
-    stored as coeffs = (c_0, c_1, ...)."""
+    stored as coeffs = (c_0, c_1, ...). It has sums and scalar multiples
+    but no ring product: only PolyX has one, and products are taken in x."""
 
     @property
     def top(self) -> int:
@@ -204,43 +212,25 @@ class LaurentSym(_Dense):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
-        if not isinstance(other, LaurentSym):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return LaurentSym.zero()
-        # Expand both to full exponent vectors over -m..m, convolve, fold
-        # back. Index i of `full` holds the coefficient of z^(i - m).
-        na, nb = self.top, other.top
-        a = [Fraction(0)] * (2 * na + 1)
-        for j in range(na + 1):
-            a[na + j] = self.coeffs[j]
-            a[na - j] = self.coeffs[j]
-        b = [Fraction(0)] * (2 * nb + 1)
-        for j in range(nb + 1):
-            b[nb + j] = other.coeffs[j]
-            b[nb - j] = other.coeffs[j]
-        full = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, va in enumerate(a):
-            if va == 0:
-                continue
-            for j, vb in enumerate(b):
-                full[i + j] += va * vb
-        m = na + nb
-        return LaurentSym(tuple(full[m + j] for j in range(m + 1)))
+        return NotImplemented
 
     __rmul__ = __mul__
 
 
-# x as a Laurent object: (z + 1/z)/2 has c_0 = 0, c_1 = 1/2.
-_X_LAURENT = LaurentSym((Fraction(0), Fraction(1, 2)))
+# x = (z + 1/z)/2 as coefficients of z^-1, z^0, z^1
+_X_FULL = (Fraction(1, 2), Fraction(0), Fraction(1, 2))
 
 
 def _horner(p: PolyX) -> LaurentSym:
-    """Substitute x = (z + 1/z)/2 by Horner in the Laurent ring."""
-    acc = LaurentSym.zero()
-    for coeff in reversed(p.coeffs):
-        acc = acc * _X_LAURENT + LaurentSym.constant(coeff)
-    return acc
+    """Substitute x = (z + 1/z)/2 by Horner on coefficient tuples, since
+    only PolyX has a ring product. Multiplying c_0..c_n by x spreads them
+    over z^-n..z^n, convolves that with x and keeps the top half,
+    z^0..z^(n+1); then the next coefficient is added."""
+    acc = p.coeffs[-1:]
+    for coeff in reversed(p.coeffs[:-1]):
+        top = _convolve(acc[:0:-1] + acc, _X_FULL)[len(acc):]
+        acc = (top[0] + coeff,) + top[1:]
+    return LaurentSym(acc)
 
 
 def to_laurent(p: PolyX) -> LaurentSym:

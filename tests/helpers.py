@@ -9,11 +9,13 @@ the library testing itself.
 
 The other oracles live here for the same reason, since nothing but the
 tests reads them: evaluate (Horner evaluation, against which the ring
-operations of PolyX are checked), gamma_factorial and dq_power (the
-normalisation and the k-fold D of the derived families' definition), and
-chain_coeffs_by_elimination, which re-derives
-every chain display by anchored elimination on the ladder rows, with no
-closed forms, and must agree with proof_engine.chain_coeffs exactly.
+operations of PolyX are checked), laurent_product (the product of two
+Laurent forms on exponent dicts, which LaurentSym itself lacks),
+gamma_factorial and dq_power (the normalisation and the k-fold D of the
+derived families' definition), and chain_coeffs_by_elimination, which
+re-derives every chain display by anchored elimination on the ladder rows,
+with no closed forms, and must agree with proof_engine.chain_coeffs
+exactly.
 
 sylvester_resultant is the resultant as a determinant: it clears
 denominators, lays out the Sylvester matrix and runs fraction-free
@@ -56,7 +58,7 @@ from awcalc import build_family, make_qcontext, params_from_sigmas, qoperators
 from awcalc.errors import DomainError, InternalError
 from awcalc.proof_engine import ChainCoeffs
 from awcalc.qoperators import apply_Dq, structural_polys
-from awcalc.qpoly import PolyX
+from awcalc.qpoly import LaurentSym, PolyX
 from awcalc.scalars import alpha_k, gamma, parse_rational
 
 # (v, sigmas) of the standard test families
@@ -160,6 +162,19 @@ def breve(p) -> dict[int, Fraction]:
         nxt[0] = nxt.get(0, Fraction(0)) + c
         acc = {e: v for e, v in nxt.items() if v != 0}
     return acc
+
+
+def laurent_product(a, b):
+    """a * b for two LaurentSym forms, multiplied as z-exponent dicts and
+    folded back to c_0, c_1, ...; qpoly has no product in this basis."""
+    da, db = ({e: c for j, c in enumerate(lp.coeffs) for e in (j, -j)}
+              for lp in (a, b))
+    out: dict[int, Fraction] = {}
+    for ea, va in da.items():
+        for eb, vb in db.items():
+            out[ea + eb] = out.get(ea + eb, Fraction(0)) + va * vb
+    assert all(out[-e] == v for e, v in out.items())
+    return LaurentSym(tuple(out[j] for j in range(max(out, default=-1) + 1)))
 
 
 def _shift(d: dict, v: Fraction, sign: int) -> dict:

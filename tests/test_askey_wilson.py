@@ -320,6 +320,22 @@ class TestSerialisation:
             family_from_dict(blob)
         assert calls == []
 
+    @settings(deadline=None)
+    @given(st.sampled_from(
+        [("B", i, i) for i in range(8)] + [("C", i, i) for i in range(7)]
+        + [("polys", n, j) for n in range(9) for j in range(n + 1)]),
+        nonzero_rationals)
+    def test_any_single_wrong_entry_is_named(self, site, delta):
+        # one of the 60 entries of the N = 8 file (8 B, 7 C and 45 polys
+        # coefficients) moved by a nonzero rational names its own list
+        # and index
+        key, index, slot = site
+        blob = family_to_dict(cached_family(*SET_B, 8))
+        entries = blob["polys"][index] if key == "polys" else blob[key]
+        entries[slot] = str(parse_rational(entries[slot]) + delta)
+        with pytest.raises(FamilyMismatch, match=rf"^{key}\[{index}\] differs"):
+            family_from_dict(blob)
+
 
 class TestKLSOracle:
     """build_family against the Askey-Wilson recurrence of Koekoek, Lesky

@@ -716,6 +716,14 @@ def test_a_cut_family_reports_the_size_of_its_polys():
     assert derived_family(cut, 1).M == 4
 
 
+def test_a_family_cut_in_its_polys_alone_is_refused():
+    # B and C must fit the polys they come with, or a cut family would read
+    # recurrence data for degrees it does not hold
+    with pytest.raises(UsageError, match=r"^8 B and 7 C values do not fit "
+                                         r"p_0\.\.p_5; need 5 and 4$"):
+        replace(B8, polys=B8.polys[:6])
+
+
 def test_check_record_is_plain_data():
     rec = CheckRecord(name="eq3", k=1, n=4, passed=True, witness="0")
     assert asdict(rec) == {"name": "eq3", "k": 1, "n": 4, "passed": True, "witness": "0"}
